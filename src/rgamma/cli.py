@@ -20,6 +20,7 @@ both are deterministic for a given invocation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import re
@@ -29,10 +30,10 @@ from typing import Optional, Sequence
 
 from .deceptive import enumerate_sdec_below_conductor, generator_variable_names
 from .errors import DomainError
-from .normalform import build_template, instantiate
+from .normalform import CoefficientPoint, NormalFormTemplate, build_template, instantiate
 from .oracle import canonical_normal_form, subalgebra_closure_semigroup, verify_point
 from .reduction import ReductionContext
-from .semigroup import NumericalSemigroup, is_plane_semigroup
+from .semigroup import NumericalSemigroup, PlaneCriterionReport, is_plane_semigroup
 from .symcore import Poly, Series
 from .variety import (
     defining_equations,
@@ -120,27 +121,27 @@ def parse_indices(text: str) -> tuple[int, ...]:
 
 # -- shared rendering ---------------------------------------------------
 
-def _semigroup_dict(gamma: NumericalSemigroup) -> dict:
-    plane = is_plane_semigroup(gamma)
-    return {
+def _plane_report(plane: PlaneCriterionReport) -> tuple[dict, str]:
+    verdict = "satisfied" if plane.is_plane else "not satisfied"
+    line = (
+        f"plane criterion: {verdict} "
+        f"(e-sequence {', '.join(map(str, plane.e_sequence))})"
+    )
+    # JSON renders the report's tuples as lists, in field order
+    return dataclasses.asdict(plane), line
+
+
+def _semigroup_report(gamma: NumericalSemigroup) -> tuple[dict, list[str]]:
+    plane, plane_line = _plane_report(is_plane_semigroup(gamma))
+    payload = {
         "generators": list(gamma.generators),
         "conductor": gamma.conductor,
         "gaps": list(gamma.gaps),
         "elements_below_conductor": list(gamma.elements_below_conductor),
         "ambient_dim": gamma.ambient_dimension(),
-        "plane_criterion": {
-            "e_sequence": list(plane.e_sequence),
-            "condition_i": plane.condition_i,
-            "condition_ii_failures": list(plane.condition_ii_failures),
-            "is_plane": plane.is_plane,
-        },
+        "plane_criterion": plane,
     }
-
-
-def _semigroup_lines(gamma: NumericalSemigroup) -> list[str]:
-    plane = is_plane_semigroup(gamma)
-    verdict = "satisfied" if plane.is_plane else "not satisfied"
-    return [
+    lines = [
         f"semigroup {gamma}",
         f"  minimal generators: {', '.join(map(str, gamma.generators))}",
         f"  conductor: {gamma.conductor}",
@@ -149,14 +150,13 @@ def _semigroup_lines(gamma: NumericalSemigroup) -> list[str]:
         f"({len(gamma.elements_below_conductor)}): "
         f"{', '.join(map(str, gamma.elements_below_conductor)) or '-'}",
         f"  ambient dimension: {gamma.ambient_dimension()}",
-        "  plane criterion: "
-        f"{verdict} (e-sequence {', '.join(map(str, plane.e_sequence))})",
+        f"  {plane_line}",
     ]
+    return payload, lines
 
 
-def _template_lines(gamma: NumericalSemigroup) -> list[str]:
-    template = build_template(gamma)
-    names = generator_variable_names(len(gamma.generators))
+def _template_lines(template: NormalFormTemplate) -> list[str]:
+    names = generator_variable_names(len(template.generators))
     lines = [
         f"{name}(t) = {series}"
         for name, series in zip(names, template.generators)
@@ -166,22 +166,21 @@ def _template_lines(gamma: NumericalSemigroup) -> list[str]:
     return lines
 
 
-def _point_json(template, point) -> dict:
+def _point_json(point: CoefficientPoint) -> dict:
     return {name: str(value) for name, value in point.values}
 
 
 # -- subcommands --------------------------------------------------------
 
 def cmd_semigroup(args) -> tuple[int, dict, list[str]]:
-    gamma = parse_generators(args.generators)
-    return 0, _semigroup_dict(gamma), _semigroup_lines(gamma)
+    return 0, *_semigroup_report(parse_generators(args.generators))
 
 
 def cmd_template(args) -> tuple[int, dict, list[str]]:
     gamma = parse_generators(args.generators)
     template = build_template(gamma)
     payload = {"semigroup": list(gamma.generators), **template.to_json_dict()}
-    return 0, payload, _template_lines(gamma)
+    return 0, payload, _template_lines(template)
 
 
 def cmd_sdec(args) -> tuple[int, dict, list[str]]:
@@ -243,7 +242,7 @@ def cmd_reduce(args) -> tuple[int, dict, list[str]]:
     payload = {
         "semigroup": list(gamma.generators),
         "input": str(series),
-        "point": _point_json(template, point),
+        "point": _point_json(point),
         "subset": list(subset) if subset else None,
         "trace": trace.to_json_dict(),
     }
@@ -266,7 +265,7 @@ def cmd_check(args) -> tuple[int, dict, list[str]]:
 
     payload = {
         "semigroup": list(gamma.generators),
-        "point": _point_json(presentation.template, point),
+        "point": _point_json(point),
         **report.to_json_dict(),
     }
     if report.in_variety:
@@ -294,20 +293,17 @@ def cmd_check(args) -> tuple[int, dict, list[str]]:
 def cmd_plane(args) -> tuple[int, dict, list[str]]:
     gamma = parse_generators(args.generators)
     criterion = is_plane_semigroup(gamma)
-    payload = _semigroup_dict(gamma)["plane_criterion"]
-    payload = {"semigroup": list(gamma.generators), "criterion": payload}
-    verdict = "satisfied" if criterion.is_plane else "not satisfied"
-    lines = [
-        f"plane criterion: {verdict} "
-        f"(e-sequence {', '.join(map(str, criterion.e_sequence))})"
-    ]
+    report, line = _plane_report(criterion)
+    payload = {"semigroup": list(gamma.generators), "criterion": report}
+    lines = [line]
     if criterion.condition_ii_failures:
         failed = ", ".join(map(str, criterion.condition_ii_failures))
         lines.append(f"  spacing condition fails at generator index {failed}")
     code = 0 if criterion.is_plane else 1
 
     if args.point is not None:
-        report = plane_test_3gen(gamma, parse_point_total(gamma, args.point))
+        point = build_template(gamma).point(parse_point(args.point), fill_missing=True)
+        report = plane_test_3gen(gamma, point)
         payload["point_test"] = report.to_json_dict()
         if report.is_plane_point:
             lines.append(
@@ -321,11 +317,6 @@ def cmd_plane(args) -> tuple[int, dict, list[str]]:
             )
         code = 0 if report.is_plane_point else 1
     return code, payload, lines
-
-
-def parse_point_total(gamma: NumericalSemigroup, text: Optional[str]):
-    template = build_template(gamma)
-    return template.point(parse_point(text), fill_missing=True)
 
 
 def cmd_normalize(args) -> tuple[int, dict, list[str]]:
@@ -376,9 +367,10 @@ def cmd_analyze(args) -> tuple[int, dict, list[str]]:
         dims.append(shuffled.affine_dim)
     stable = len(set(dims)) == 1
 
+    semigroup, lines = _semigroup_report(gamma)
     payload = {
-        "semigroup": _semigroup_dict(gamma),
-        "template": build_template(gamma).to_json_dict(),
+        "semigroup": semigroup,
+        "template": presentation.template.to_json_dict(),
         "presentation": presentation.to_json_dict(),
         "elimination": result.to_json_dict(),
         "predicted_dim_single_binomial": predicted,
@@ -390,9 +382,8 @@ def cmd_analyze(args) -> tuple[int, dict, list[str]]:
         },
     }
 
-    lines = _semigroup_lines(gamma)
     lines.append("")
-    lines.extend(_template_lines(gamma))
+    lines.extend(_template_lines(presentation.template))
     lines.append("")
     lines.extend(_equation_lines(presentation, result))
     if predicted is not None:

@@ -67,6 +67,7 @@ class NormalFormTemplate:
         self._slots: list[tuple[int, int]] = []
         self._display: dict[tuple[int, int], str] = {}
         self._resolve: dict[str, str] = {}
+        self._canonical: dict[str, str] = {}
         generators: list[Series] = []
         for i, v in enumerate(gamma.generators):
             if v >= self.modulus:
@@ -80,6 +81,7 @@ class NormalFormTemplate:
                 self._display[(i, delta)] = name
                 self._resolve[name] = name
                 self._resolve[canonical] = name
+                self._canonical[name] = canonical
                 coeffs[delta] = Poly.variable(name)
             generators.append(Series(self.modulus, coeffs))
         self.generators: tuple[Series, ...] = tuple(generators)
@@ -93,11 +95,7 @@ class NormalFormTemplate:
 
     def canonical_name(self, name: str) -> str:
         """g{i}d{delta} spelling of a variable given in either spelling."""
-        display = self.resolve(name)
-        for (i, delta), disp in self._display.items():
-            if disp == display:
-                return f"g{i}d{delta}"
-        raise UnknownVariable(f"unknown template variable {name!r}")
+        return self._canonical[self.resolve(name)]
 
     def resolve(self, name: str) -> str:
         try:

@@ -9,13 +9,16 @@ minimal factorization e of n.  Each subtraction clears t^n exactly (the
 monomial series is monic of order n) and only disturbs higher powers, so
 the result -- the reduction of r -- is supported on the gaps of Gamma.
 
+The substitution phi: x_i -> x_i(t) has one implementation, Substitution;
+ReductionContext extends it with the semigroup and the reduction.
+
 The trace records every removal step and the witness polynomial
 F = sum q * x^e, giving the exact reconstruction r = red(r) + phi(F).
 Coefficients are Poly values throughout, so the same code path serves the
 symbolic template generators and numeric instantiations.
 
-reduce_subset restricts the removable powers to sums of a chosen subset of
-the generators, which is what the plane stratum test needs.
+Reducing with generator indices restricts the removable powers to sums of
+that subset of the generators, which is what the plane stratum test needs.
 """
 
 from __future__ import annotations
@@ -60,64 +63,82 @@ class ReductionTrace:
         }
 
 
+class Substitution:
+    """The ring map phi sending the i-th ring variable to generators[i].
+
+    ``names`` lists the ring variables, one per generator (default x, y, z,
+    w or x0, x1, ...).  Variables of f outside ``names`` ride along as
+    scalar coefficients, which is what evaluating a reduction witness needs.
+    Generator powers and monomial series x^e are cached for reuse.
+    """
+
+    def __init__(
+        self,
+        generators: Sequence[Series],
+        names: Optional[Sequence[str]] = None,
+    ):
+        if not generators:
+            raise EmptyInput("phi needs at least one generator series")
+        if names is None:
+            names = generator_variable_names(len(generators))
+        if len(names) != len(generators):
+            raise ArityMismatch(
+                f"{len(generators)} generators but {len(names)} ring variables"
+            )
+        modulus = generators[0].modulus
+        for s in generators[1:]:
+            if s.modulus != modulus:
+                raise ModulusMismatch("generator series must share one modulus")
+        self.generators = tuple(generators)
+        self.names = tuple(names)
+        self.modulus = modulus
+        self._index = {name: i for i, name in enumerate(self.names)}
+        self._powers: dict[tuple[int, int], Series] = {}
+        self._monomials: dict[tuple[int, ...], Series] = {}
+
+    def _power(self, i: int, e: int) -> Series:
+        key = (i, e)
+        if key not in self._powers:
+            self._powers[key] = self.generators[i] ** e
+        return self._powers[key]
+
+    def monomial_series(self, vec: Sequence[int]) -> Series:
+        key = tuple(vec)
+        if key not in self._monomials:
+            result = Series.one(self.modulus)
+            for i, e in enumerate(key):
+                if e:
+                    result = result * self._power(i, e)
+            self._monomials[key] = result
+        return self._monomials[key]
+
+    def phi(self, f: Poly) -> Series:
+        total = Series.zero(self.modulus)
+        for mono, coeff in f.terms():
+            vec = [0] * len(self.generators)
+            residual: dict[str, int] = {}
+            for var, e in mono:
+                if var in self._index:
+                    vec[self._index[var]] = e
+                else:
+                    residual[var] = e
+            scalar = Poly.monomial(residual, coeff) if residual else Poly.const(coeff)
+            total = total + self.monomial_series(vec).scale(scalar)
+        return total
+
+
 def phi_eval(
     generators: Sequence[Series],
     f: Poly,
     names: Optional[Sequence[str]] = None,
 ) -> Series:
-    """Substitute the generator series for the ring variables of f.
-
-    ``names`` lists the ring variables, one per generator (default x, y, z,
-    w or x0, x1, ...).  Variables of f outside ``names`` ride along as
-    scalar coefficients, which is what evaluating a reduction witness needs.
-    """
-    if not generators:
-        raise EmptyInput("phi needs at least one generator series")
-    if names is None:
-        names = generator_variable_names(len(generators))
-    if len(names) != len(generators):
-        raise ArityMismatch(
-            f"{len(generators)} generators but {len(names)} ring variables"
-        )
-    modulus = generators[0].modulus
-    for s in generators[1:]:
-        if s.modulus != modulus:
-            raise ModulusMismatch("generator series must share one modulus")
-
-    index = {name: i for i, name in enumerate(names)}
-    cache: dict[tuple[int, ...], Series] = {}
-
-    def monomial_series(vec: tuple[int, ...]) -> Series:
-        if vec in cache:
-            return cache[vec]
-        result = Series.one(modulus)
-        for i, e in enumerate(vec):
-            if e:
-                result = result * (generators[i] ** e)
-        cache[vec] = result
-        return result
-
-    total = Series.zero(modulus)
-    for mono, coeff in f.terms():
-        vec = [0] * len(generators)
-        residual: dict[str, int] = {}
-        for var, e in mono:
-            if var in index:
-                vec[index[var]] = e
-            else:
-                residual[var] = e
-        scalar = Poly.monomial(residual, coeff) if residual else Poly.const(coeff)
-        total = total + monomial_series(tuple(vec)).scale(scalar)
-    return total
+    """phi(f) for the generator series; see :class:`Substitution`."""
+    return Substitution(generators, names).phi(f)
 
 
-class ReductionContext:
-    """Shared caches for repeated reductions against one generator tuple.
-
-    Building the monomial series x^e is the expensive part of a reduction;
-    the variety presentation reduces one series per deceptive binomial with
-    identical generators, so powers and monomials are cached here.
-    """
+class ReductionContext(Substitution):
+    """phi and reduction against one normal-form generator tuple; the
+    variety presentation reduces every deceptive binomial through one."""
 
     def __init__(
         self,
@@ -140,46 +161,10 @@ class ReductionContext:
             raise NotNormalForm(
                 "generators do not have normal-form shape for " + str(gamma)
             )
+        # an empty names sequence selects the default names
+        super().__init__(generators, names or None)
         self.gamma = gamma
-        self.generators = tuple(generators)
-        self.names = tuple(names) if names else generator_variable_names(len(generators))
-        if len(self.names) != len(generators):
-            raise ArityMismatch("one ring variable per generator is required")
-        self.modulus = modulus
-        self._powers: dict[tuple[int, int], Series] = {}
-        self._monomials: dict[tuple[int, ...], Series] = {}
         self._subset_elements: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def _power(self, i: int, e: int) -> Series:
-        key = (i, e)
-        if key not in self._powers:
-            self._powers[key] = self.generators[i] ** e
-        return self._powers[key]
-
-    def monomial_series(self, vec: Sequence[int]) -> Series:
-        key = tuple(vec)
-        if key not in self._monomials:
-            result = Series.one(self.modulus)
-            for i, e in enumerate(key):
-                if e:
-                    result = result * self._power(i, e)
-            self._monomials[key] = result
-        return self._monomials[key]
-
-    def phi(self, f: Poly) -> Series:
-        total = Series.zero(self.modulus)
-        index = {name: i for i, name in enumerate(self.names)}
-        for mono, coeff in f.terms():
-            vec = [0] * len(self.generators)
-            residual: dict[str, int] = {}
-            for var, e in mono:
-                if var in index:
-                    vec[index[var]] = e
-                else:
-                    residual[var] = e
-            scalar = Poly.monomial(residual, coeff) if residual else Poly.const(coeff)
-            total = total + self.monomial_series(vec).scale(scalar)
-        return total
 
     def _removable(self, indices: Optional[Sequence[int]]) -> tuple[int, ...]:
         key = self.gamma._validate_indices(indices)
@@ -201,7 +186,8 @@ class ReductionContext:
             if q.is_zero:
                 continue
             vec = self.gamma.revlex_min_factorization(n, indices)
-            current = current - self.monomial_series(vec).scale(q)
+            # adding scale(-q) negates one Poly; subtracting negates a series
+            current = current + self.monomial_series(vec).scale(-q)
             steps.append(ReductionStep(n, q, vec))
         witness = poly_sum(
             s.multiplier * Poly.monomial(

@@ -96,6 +96,28 @@ def _mono_str(m: Monomial) -> str:
     return "*".join(pieces)
 
 
+def _accumulate(terms: dict[Monomial, Scalar], other: Mapping[Monomial, Scalar]) -> None:
+    # add other into terms in place, dropping the terms that cancel
+    for mono, coeff in other.items():
+        s = terms.get(mono, 0) + coeff
+        if s:
+            terms[mono] = s
+        else:
+            terms.pop(mono, None)
+
+
+def _power(base, exponent: int, one):
+    # square and multiply, without squaring past the top bit
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 class Poly:
     """Immutable sparse polynomial over Q."""
 
@@ -178,25 +200,13 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = terms.get(mono, 0) + coeff
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
+        _accumulate(terms, other._terms)
         return Poly._make(terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = terms.get(mono, 0) - coeff
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        return Poly._make(terms)
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly._make({m: -c for m, c in self._terms.items()})
@@ -231,15 +241,7 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Poly.const(1))
 
     # -- substitution and evaluation ----------------------------------
 
@@ -338,12 +340,7 @@ class Poly:
 def poly_sum(polys: Iterable[Poly]) -> Poly:
     terms: dict[Monomial, Scalar] = {}
     for p in polys:
-        for mono, coeff in p.terms():
-            s = terms.get(mono, 0) + coeff
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
+        _accumulate(terms, p._terms)
     return Poly._make(terms)
 
 
@@ -437,16 +434,7 @@ class Series:
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        self._require_same_modulus(other)
-        coeffs = dict(self._coeffs)
-        for exp, poly in other._coeffs.items():
-            cur = coeffs.get(exp)
-            s = -poly if cur is None else cur - poly
-            if s.is_zero:
-                coeffs.pop(exp, None)
-            else:
-                coeffs[exp] = s
-        return Series._make(self.modulus, coeffs)
+        return self + -other
 
     def __neg__(self) -> "Series":
         return Series._make(self.modulus, {e: -p for e, p in self._coeffs.items()})
@@ -481,15 +469,7 @@ class Series:
     def __pow__(self, exponent: int) -> "Series":
         if exponent < 0:
             raise ValueError("negative power of a truncated series")
-        result = Series.one(self.modulus)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Series.one(self.modulus))
 
     def map_coefficients(self, fn: Callable[[Poly], Poly]) -> "Series":
         return Series(self.modulus, {e: fn(p) for e, p in self._coeffs.items()})

@@ -32,7 +32,7 @@ from .deceptive import (
 )
 from .errors import NotInVariety, WrongGeneratorCount
 from .normalform import CoefficientPoint, NormalFormTemplate, build_template, instantiate
-from .reduction import ReductionContext, phi_eval, reduce_subset
+from .reduction import ReductionContext
 from .semigroup import NumericalSemigroup, is_plane_semigroup
 from .symcore import Poly
 
@@ -316,11 +316,10 @@ def plane_test_3gen(
 
     ideal = idec_generators_3gen(gamma)
     k0, k1 = ideal.ks[0], ideal.ks[1]
-    names = generator_variable_names(3)
-    binomial = Poly.monomial({names[1]: k1}) - Poly.monomial({names[0]: k0})
-
-    generators = instantiate(template, point)
-    trace = reduce_subset(gamma, (0, 1), generators, phi_eval(generators, binomial))
+    ctx = ReductionContext(gamma, instantiate(template, point))
+    x, y = ctx.names[:2]
+    binomial = Poly.monomial({y: k1}) - Poly.monomial({x: k0})
+    trace = ctx.reduce(ctx.phi(binomial), (0, 1))
     order = trace.reduced.order()
     lead = Fraction(0)
     if order is not None:

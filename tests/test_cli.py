@@ -1,5 +1,6 @@
 """Command line interface: output, exit codes, JSON stability."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -279,3 +280,44 @@ class TestHarness:
         )
         assert proc.returncode == 0
         assert "conductor: 16" in proc.stdout
+
+
+# exit code and sha256 of stdout for every rendering path; the renderings
+# are shared between subcommands, so any byte of drift in one fails here
+PINNED_OUTPUTS = [
+    (('semigroup', '4,6,13'), 'text', 0, 'e41bcbc9460362d0a4e5f8086762d91cdd691e103b9513ec28cdc4be68069556'),
+    (('semigroup', '4,6,13'), 'json', 0, 'ca475c8c4deca2bbe313e090e4f0a7141e413dac4dcad63bbab4a740b5d15da7'),
+    (('semigroup', '4,6,11'), 'text', 0, '48691a06be8c2c5e519ae2fe30a2c0860f20d2cee171f45ecc70fd7a62f5a441'),
+    (('semigroup', '4,6,11'), 'json', 0, 'c4d7f1ab58627c0cf618b9831917696e34a794bb8b40b79a24860e44e0ab582f'),
+    (('template', '4,6,13'), 'text', 0, '56ab6826c1dac23a6602c4a3baae6505be6910db053ea33ee90cf710ea5135b0'),
+    (('template', '4,6,13'), 'json', 0, '3071bc2f17716c71a4f75e18844fc564c47cd57c7979db4263edd32686688647'),
+    (('template', '2,5'), 'text', 0, 'dc1c6875793fc3aafbfe681cef3d7c76176e7f08ee85622b8aef4d4b0b74764e'),
+    (('template', '2,5'), 'json', 0, '0d033b639730c89ab6c2826d4b3b40d2cad1a6325c473badef4dfdd5a0fccb98'),
+    (('sdec', '8,9,10,11'), 'text', 0, 'b559028e3230eeb71b7790211ae467fb8a24ffb8048b649c31025b6d70793bea'),
+    (('sdec', '8,9,10,11'), 'json', 0, '1c9d616714759da9b222b9dcd60057b38fff1f70aca867de91a6d801b21a2675'),
+    (('plane', '4,6,13'), 'text', 0, '76bb589a4d68a8831687b393ad62c773fbcc83c2f470d47750bd3eeb18f4b18a'),
+    (('plane', '4,6,13'), 'json', 0, '0e22039e1b19d3bb37320f1d8b29fd2b45a3629a41aaf044d84e1267e1fc8b7f'),
+    (('plane', '4,6,11'), 'text', 1, '1527e5be82e31c95e2b4fccfff5296b1f72969c3e0560fa83549b23abe995314'),
+    (('plane', '4,6,11'), 'json', 1, 'beaf13b56cde28aa08465de8faacfc76bd768095f98a44177be1ccb56324d120'),
+    (('plane', '4,6,13', '--point', 'b7=1,b9=1/2'), 'text', 0, '7f162bb3f83ea35bea02f807eb88b1bd1555442bf04c7cfb74d46e401a81764f'),
+    (('plane', '4,6,13', '--point', 'b7=1,b9=1/2'), 'json', 0, '6bca11f601df7867b4ac72848e2679e56d6ac80f923bbf33d0654e22e26ed3d4'),
+    (('plane', '4,6,13', '--point', ''), 'text', 1, '328271d0faccad0884d495aa22d61d3140c6e6018177d29000b93671ad8d4418'),
+    (('plane', '4,6,13', '--point', ''), 'json', 1, '3c019cfd21a676b9e28548c097f51fc50c3d1c72b7585fc48674c580a041e92f'),
+    (('check', '4,6,13', '--point', 'b7=1,b9=1/2', '--oracle'), 'text', 0, '1c9ba0ea2e06862db9ada452b3c53b0600901a8bf312db4e1e9d2d8e1678b191'),
+    (('check', '4,6,13', '--point', 'b7=1,b9=1/2', '--oracle'), 'json', 0, 'e397fa8be5845405eb4396e75c2baf49e8df8ddc473c3489d568c894144a3ec5'),
+    (('check', '4,6,13', '--point', 'b7=1', '--oracle'), 'text', 1, 'd2740e1e429ec2094da0dfff5ad1db0a917573914164fb5c530992244176ff87'),
+    (('check', '4,6,13', '--point', 'b7=1', '--oracle'), 'json', 1, '826b1796c297c7fc4d6f34f0c0d8d0846bb7b4ac2ca30808daadc0033308f1e6'),
+    (('reduce', '4,6,13', '--series', '2*t^13+t^14', '--point', 'b7=1', '--subset', '0,1'), 'text', 0, '7d2de33450848dc251910df4bae6d5abbfa750e145688c83c6123a470b5fe33e'),
+    (('reduce', '4,6,13', '--series', '2*t^13+t^14', '--point', 'b7=1', '--subset', '0,1'), 'json', 0, 'df449b3e4c2903f1cdc140fc6e3e9b34df1547cc18420c22b16688c746b98a7e'),
+    (('analyze', '4,6,13'), 'text', 0, '34a838ec941812f5f78deb2c45ec033dafdc40cff0ae5dfb7a32e67600f9d7e9'),
+    (('analyze', '4,6,13'), 'json', 0, '61e5f0bb101d4632dcdeb4168d0cf878de9ab35eb27e9bfe72ea5c4ba4179cc5'),
+    (('analyze', '8,9,10,11', '--seed', '3'), 'text', 0, 'c33cdb8853f2ac19f5a2a59b845e14ed445c5ed31f70c3f006355d323b211a17'),
+    (('analyze', '8,9,10,11', '--seed', '3'), 'json', 0, '014dcb16becdd4ab75038bddf13d6d86f3bf76757867ad9fc84ad8e7cc946250'),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, code, digest", PINNED_OUTPUTS)
+def test_output_bytes_pinned(capsys, argv, fmt, code, digest):
+    got_code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert err == ""
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

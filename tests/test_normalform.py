@@ -85,6 +85,9 @@ class TestVariableNames:
         assert template.resolve("g0d5") == "a5"
         assert template.resolve("b9") == "b9"
         assert template.canonical_name("b9") == "g1d9"
+        assert template.canonical_name("g2d15") == "g2d15"
+        with pytest.raises(UnknownVariable):
+            template.canonical_name("q1")
 
     def test_unknown_slot(self):
         template = build_template(from_generators([4, 6, 13]))

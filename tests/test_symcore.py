@@ -1,9 +1,12 @@
 """Exact polynomial and truncated-series arithmetic."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import parse_poly, random_fraction
 from rgamma.errors import ModulusMismatch, UnboundVariable
@@ -261,3 +264,53 @@ class TestSeries:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Series.term(9, 3, 2)
+
+
+# -- properties of the shared accumulation and power loops ------------------
+
+fractions = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3))
+)
+monomials = st.dictionaries(st.sampled_from(("a5", "b7", "c15")), st.integers(0, 3))
+polys = st.lists(st.tuples(monomials, fractions), max_size=4).map(
+    lambda terms: poly_sum(Poly.monomial(m, c) for m, c in terms)
+)
+
+
+def series(modulus):
+    return st.dictionaries(st.integers(0, modulus - 1), polys, max_size=4).map(
+        lambda coeffs: Series(modulus, coeffs)
+    )
+
+
+class TestArithmeticProperties:
+    @given(polys, polys)
+    def test_poly_sub_is_add_of_negation(self, p, q):
+        assert p - q == p + (-q)
+        assert (p - q) + q == p
+
+    @given(st.lists(polys, max_size=6))
+    def test_poly_sum_is_fold_of_add(self, ps):
+        assert poly_sum(ps) == functools.reduce(operator.add, ps, Poly.zero())
+
+    @given(polys, st.integers(0, 4))
+    def test_poly_pow_is_repeated_mul(self, p, n):
+        assert p ** n == functools.reduce(operator.mul, [p] * n, Poly.const(1))
+
+    @given(series(9), series(9))
+    def test_series_sub_is_add_of_negation(self, s, u):
+        assert s - u == s + (-u)
+        assert (s - u) + u == s
+
+    @given(series(9), series(7))
+    def test_series_sub_checks_modulus(self, s, u):
+        with pytest.raises(ModulusMismatch):
+            s - u
+        with pytest.raises(ModulusMismatch):
+            s + (-u)
+
+    # symbolic series powers take tens of ms, so no per-example deadline
+    @settings(deadline=None)
+    @given(series(9), st.integers(0, 4))
+    def test_series_pow_is_repeated_mul(self, s, n):
+        assert s ** n == functools.reduce(operator.mul, [s] * n, Series.one(9))

@@ -25,6 +25,28 @@ from rgamma import (
 
 
 class TestPresentation:
+    @pytest.mark.parametrize(
+        "generators",
+        [(4, 6, 13), (8, 9, 10, 11), (10, 11, 12, 13), (10, 13, 14, 17), (11, 15, 17)],
+        ids=lambda generators: ",".join(map(str, generators)),
+    )
+    def test_equations_weighted_homogeneous(self, generators):
+        # the torus action t -> lambda*t scales the slot variable for gap
+        # delta on the generator of order v by lambda^(delta - v), so the
+        # coefficient of t^gap in the reduced image of a degree-d binomial
+        # is homogeneous of weight gap - d
+        gamma = from_generators(generators)
+        presentation = defining_equations(gamma)
+        weight = {}
+        for i, v in enumerate(gamma.generators):
+            for delta in gamma.gaps_above(v):
+                weight[presentation.template.variable_name(i, delta)] = delta - v
+        assert presentation.equations
+        for equation in presentation.equations:
+            target = equation.gap - equation.source.degree
+            for mono, _ in equation.poly.terms():
+                assert sum(weight[name] * e for name, e in mono) == target
+
     def test_4_6_13(self, pres4613):
         assert pres4613.ambient_dim == 10
         assert len(pres4613.equations) == 1
