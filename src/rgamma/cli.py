@@ -112,11 +112,15 @@ def parse_point(text: Optional[str]) -> dict[str, Fraction]:
     return assignment
 
 
-def parse_indices(text: str) -> tuple[int, ...]:
+def parse_indices(text: str, count: int) -> tuple[int, ...]:
+    """Generator indices, each in range(count), at least one."""
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
+        indices = tuple(int(p) for p in text.split(",") if p.strip() != "")
     except ValueError:
         raise UsageError(f"indices must be a comma-separated integer list: {text!r}")
+    if not indices or not all(0 <= i < count for i in indices):
+        raise UsageError(f"indices must name generators among 0..{count - 1}: {text!r}")
+    return indices
 
 
 # -- shared rendering ---------------------------------------------------
@@ -234,7 +238,7 @@ def cmd_reduce(args) -> tuple[int, dict, list[str]]:
     point = template.point(parse_point(args.point), fill_missing=True)
     generators = instantiate(template, point)
     series = parse_series(args.series, template.modulus)
-    subset = parse_indices(args.subset) if args.subset else None
+    subset = parse_indices(args.subset, len(gamma.generators)) if args.subset else None
 
     ctx = ReductionContext(gamma, generators)
     trace = ctx.reduce(series, subset)

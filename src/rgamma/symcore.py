@@ -16,6 +16,10 @@ Two immutable value types carry all symbolic computation in this package:
   constant polynomial.  Keeping one representation for both lets symbolic
   and numeric pipelines share every code path.
 
+Every sum of term dicts goes through ``_accumulate`` and every product
+through ``_mul_into``; these two are the only loops that merge terms, and
+``_mul_into`` is the only caller of ``_mono_mul``.
+
 Rendering is canonical: polynomial terms are ordered by total degree
 descending, then by the word of variables (natural name order, so ``a9``
 precedes ``a10``); series terms are ordered by ascending power of ``t``.
@@ -24,6 +28,7 @@ Two equal values always render to the same string.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -32,10 +37,12 @@ from .errors import ModulusMismatch, UnboundVariable
 
 Monomial = tuple[tuple[str, int], ...]
 Scalar = Union[Fraction, int]
+Terms = Mapping[Monomial, Scalar]
 
 _NAME_CHUNKS = re.compile(r"(\d+)")
 
 
+@functools.cache
 def name_key(name: str) -> tuple:
     """Natural sort key for variable names: digit runs compare numerically."""
     parts = _NAME_CHUNKS.split(name)
@@ -48,6 +55,11 @@ def _norm_scalar(q: Scalar) -> Scalar:
         return q
     f = q if isinstance(q, Fraction) else Fraction(q)
     return f.numerator if f.denominator == 1 else f
+
+
+def _mono(exponents: Mapping[str, int]) -> Monomial:
+    # the monomial key: name-sorted pairs, zero exponents dropped
+    return tuple(sorted((v, e) for v, e in exponents.items() if e))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -81,22 +93,22 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
+def _natural(m: Monomial) -> list[tuple[str, int]]:
+    # factors in natural name order, so a9 precedes a10
+    return sorted(m, key=lambda ve: name_key(ve[0]))
+
+
 def _mono_word(m: Monomial) -> tuple:
-    # Expanded variable word for tie-breaking equal total degrees.
-    word: list[tuple] = []
-    for var, e in sorted(m, key=lambda ve: name_key(ve[0])):
-        word.extend([name_key(var)] * e)
-    return tuple(word)
+    # Tie-break for equal total degrees: ordering by (name, -exponent) pairs
+    # is ordering by the expanded variable words, without expanding them.
+    return tuple((name_key(var), -e) for var, e in _natural(m))
 
 
 def _mono_str(m: Monomial) -> str:
-    pieces = []
-    for var, e in sorted(m, key=lambda ve: name_key(ve[0])):
-        pieces.append(var if e == 1 else f"{var}^{e}")
-    return "*".join(pieces)
+    return "*".join(var if e == 1 else f"{var}^{e}" for var, e in _natural(m))
 
 
-def _accumulate(terms: dict[Monomial, Scalar], other: Mapping[Monomial, Scalar]) -> None:
+def _accumulate(terms: dict[Monomial, Scalar], other: Terms) -> None:
     # add other into terms in place, dropping the terms that cancel
     for mono, coeff in other.items():
         s = terms.get(mono, 0) + coeff
@@ -104,6 +116,18 @@ def _accumulate(terms: dict[Monomial, Scalar], other: Mapping[Monomial, Scalar])
             terms[mono] = s
         else:
             terms.pop(mono, None)
+
+
+def _mul_into(terms: dict[Monomial, Scalar], a: Terms, b: Terms) -> None:
+    # add the product a*b into terms in place, dropping the terms that cancel
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _mono_mul(m1, m2)
+            s = terms.get(mono, 0) + c1 * c2
+            if s:
+                terms[mono] = s
+            else:
+                terms.pop(mono, None)
 
 
 def _power(base, exponent: int, one):
@@ -123,7 +147,7 @@ class Poly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+    def __init__(self, terms: Terms | None = None):
         clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
@@ -155,7 +179,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, exponents: Mapping[str, int], coeff: Scalar = 1) -> "Poly":
-        mono = tuple(sorted((v, e) for v, e in exponents.items() if e))
+        mono = _mono(exponents)
         if any(e < 0 for _, e in mono):
             raise ValueError("negative exponent in monomial")
         return cls({mono: coeff})
@@ -166,8 +190,7 @@ class Poly:
         return iter(self._terms.items())
 
     def coefficient(self, exponents: Mapping[str, int]) -> Scalar:
-        mono = tuple(sorted((v, e) for v, e in exponents.items() if e))
-        return self._terms.get(mono, 0)
+        return self._terms.get(_mono(exponents), 0)
 
     @property
     def is_zero(self) -> bool:
@@ -217,14 +240,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         terms: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                s = terms.get(mono, 0) + c1 * c2
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
+        _mul_into(terms, self._terms, other._terms)
         return Poly._make(terms)
 
     def __rmul__(self, other: Scalar) -> "Poly":
@@ -262,20 +278,15 @@ class Poly:
 
     def substitute(self, name: str, replacement: "Poly") -> "Poly":
         """Replace every occurrence of ``name`` by a polynomial."""
-        untouched: dict[Monomial, Scalar] = {}
-        result = Poly()
+        terms: dict[Monomial, Scalar] = {}
         powers: dict[int, Poly] = {}
         for mono, coeff in self._terms.items():
             exps = dict(mono)
             e = exps.pop(name, 0)
-            if not e:
-                untouched[mono] = coeff
-                continue
             if e not in powers:
                 powers[e] = replacement ** e
-            rest = Poly._make({tuple(sorted(exps.items())): coeff})
-            result = result + rest * powers[e]
-        return result + Poly._make(untouched)
+            _mul_into(terms, {_mono(exps): coeff}, powers[e]._terms)
+        return Poly._make(terms)
 
     def extract_linear(self, name: str) -> Optional[tuple[Scalar, "Poly"]]:
         """Split as alpha*name + rest when ``name`` occurs exactly linearly.
@@ -444,18 +455,13 @@ class Series:
             return NotImplemented
         self._require_same_modulus(other)
         modulus = self.modulus
-        coeffs: dict[int, Poly] = {}
+        coeffs: dict[int, dict[Monomial, Scalar]] = {}
         for e1, p1 in self._coeffs.items():
             for e2, p2 in other._coeffs.items():
                 exp = e1 + e2
-                if exp >= modulus:
-                    continue
-                prod = p1 * p2
-                cur = coeffs.get(exp)
-                coeffs[exp] = prod if cur is None else cur + prod
-        return Series._make(
-            modulus, {e: p for e, p in coeffs.items() if not p.is_zero}
-        )
+                if exp < modulus:
+                    _mul_into(coeffs.setdefault(exp, {}), p1._terms, p2._terms)
+        return Series._make(modulus, {e: Poly._make(t) for e, t in coeffs.items() if t})
 
     def scale(self, factor: Union[Poly, Scalar]) -> "Series":
         poly = factor if isinstance(factor, Poly) else Poly.const(factor)

@@ -20,7 +20,7 @@ asks for order exactly v_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -172,41 +172,30 @@ def eliminate_linear(
         work = [work[i] for i in equation_order]
 
     solved: list[SolvedVariable] = []
-    progress = True
-    while progress:
-        progress = False
-        for eq_index, equation in enumerate(work):
-            hit = None
-            for var in variables:
-                extracted = equation.poly.extract_linear(var)
-                if extracted is not None:
-                    hit = (var, *extracted)
-                    break
-            if hit is None:
-                continue
-            var, alpha, rest = hit
-            factor = Fraction(-1) / alpha
-            expression = rest.scale(factor)
-            solved = [
-                SolvedVariable(
-                    s.name,
-                    s.factor,
-                    s.expression.substitute(var, expression),
-                    s.gap,
-                )
-                for s in solved
-            ]
-            solved.append(SolvedVariable(var, factor, expression, equation.gap))
-            remaining = []
-            for other in work:
-                if other is equation:
-                    continue
-                poly = other.poly.substitute(var, expression)
-                if not poly.is_zero:
-                    remaining.append(Equation(poly, other.source, other.gap))
-            work = remaining
-            progress = True
+    while True:
+        pivots = (
+            (equation, var, extracted)
+            for equation in work
+            for var in variables
+            if (extracted := equation.poly.extract_linear(var)) is not None
+        )
+        hit = next(pivots, None)
+        if hit is None:
             break
+        equation, var, (alpha, rest) = hit
+        factor = Fraction(-1) / alpha
+        expression = rest.scale(factor)
+        solved = [
+            replace(s, expression=s.expression.substitute(var, expression))
+            for s in solved
+        ]
+        solved.append(SolvedVariable(var, factor, expression, equation.gap))
+        substituted = (
+            replace(other, poly=other.poly.substitute(var, expression))
+            for other in work
+            if other is not equation
+        )
+        work = [other for other in substituted if not other.poly.is_zero]
 
     return EliminationResult(
         solved=tuple(solved),

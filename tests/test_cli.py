@@ -138,6 +138,13 @@ class TestReduceCommand:
         assert code == 2
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("subset", ["--subset=5", "--subset=-1", "--subset=,"])
+    def test_bad_subset_usage_error(self, capsys, subset):
+        code, out, err = run_cli(capsys, "reduce", "4,6,13", "--series", "t^8", subset)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_violation(self, capsys):
@@ -313,6 +320,11 @@ PINNED_OUTPUTS = [
     (('analyze', '4,6,13'), 'json', 0, '61e5f0bb101d4632dcdeb4168d0cf878de9ab35eb27e9bfe72ea5c4ba4179cc5'),
     (('analyze', '8,9,10,11', '--seed', '3'), 'text', 0, 'c33cdb8853f2ac19f5a2a59b845e14ed445c5ed31f70c3f006355d323b211a17'),
     (('analyze', '8,9,10,11', '--seed', '3'), 'json', 0, '014dcb16becdd4ab75038bddf13d6d86f3bf76757867ad9fc84ad8e7cc946250'),
+    # the JSON digests equal swell_sha256 in bench/reference.json
+    (('equations', '10,13,14,17'), 'text', 0, '7f27c786de3979a2f5477e55bb2cf3c9a54540af1f7acb3cbd403862a4c79204'),
+    (('equations', '10,13,14,17'), 'json', 0, '9190d0afba98f4d9e7e37018b2ca469f765ec4b06ceeaee4557a1d528341a71a'),
+    (('equations', '11,15,17'), 'text', 0, 'c5517da6820e33d48bd6cc62cdf64e96853541ff6ea692536290688e87142612'),
+    (('equations', '11,15,17'), 'json', 0, '671d2eb669bbac8ef721cb97c4baf82ac6f67a83ad1c3690e0cc8dc152a723d3'),
 ]
 
 

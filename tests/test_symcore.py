@@ -266,19 +266,28 @@ class TestSeries:
         assert a != Series.term(9, 3, 2)
 
 
-# -- properties of the shared accumulation and power loops ------------------
+# -- properties of the shared loops and of the rendering order --------------
 
+NAMES = ("a5", "b7", "c15")
 fractions = st.builds(
     Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3))
 )
-monomials = st.dictionaries(st.sampled_from(("a5", "b7", "c15")), st.integers(0, 3))
+monomials = st.dictionaries(st.sampled_from(NAMES), st.integers(0, 3))
 polys = st.lists(st.tuples(monomials, fractions), max_size=4).map(
     lambda terms: poly_sum(Poly.monomial(m, c) for m, c in terms)
 )
+# two variables, low degrees and small coefficients, so that products and
+# substitutions cancel terms often
+dense_polys = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from(NAMES[:2]), st.integers(0, 2)), st.integers(-2, 2)
+    ),
+    max_size=4,
+).map(lambda terms: poly_sum(Poly.monomial(m, c) for m, c in terms))
 
 
-def series(modulus):
-    return st.dictionaries(st.integers(0, modulus - 1), polys, max_size=4).map(
+def series(modulus, coefficients=polys):
+    return st.dictionaries(st.integers(0, modulus - 1), coefficients, max_size=4).map(
         lambda coeffs: Series(modulus, coeffs)
     )
 
@@ -314,3 +323,43 @@ class TestArithmeticProperties:
     @given(series(9), st.integers(0, 4))
     def test_series_pow_is_repeated_mul(self, s, n):
         assert s ** n == functools.reduce(operator.mul, [s] * n, Series.one(9))
+
+    @given(series(5, dense_polys), series(5, dense_polys))
+    def test_series_mul_is_truncated_convolution(self, s, u):
+        convolution = {
+            k: poly_sum(p * q for i, p in s.items() for j, q in u.items() if i + j == k)
+            for k in range(5)
+        }
+        assert s * u == Series(5, convolution)
+
+    @given(
+        dense_polys,
+        dense_polys,
+        st.sampled_from(NAMES[:2]),
+        st.fixed_dictionaries({n: fractions for n in NAMES}),
+    )
+    def test_substitute_commutes_with_evaluation(self, p, r, name, point):
+        bound = {**point, name: r.evaluate(point)}
+        assert p.substitute(name, r).evaluate(point) == p.evaluate(bound)
+
+    @given(polys, st.sampled_from(NAMES))
+    def test_substitute_variable_by_itself_is_identity(self, p, name):
+        assert p.substitute(name, Poly.variable(name)) == p
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.dictionaries(st.sampled_from(("a9", "a10", "b7")), st.integers(0, 3)),
+                fractions,
+            ),
+            max_size=6,
+        )
+    )
+    def test_rendering_order_is_degree_then_expanded_word(self, terms):
+        def word(mono):
+            ordered = sorted(mono, key=lambda ve: name_key(ve[0]))
+            return [name_key(var) for var, e in ordered for _ in range(e)]
+
+        p = poly_sum(Poly.monomial(m, c) for m, c in terms)
+        expected = sorted(p.terms(), key=lambda mc: (-sum(e for _, e in mc[0]), word(mc[0])))
+        assert p.sorted_terms() == expected
