@@ -163,20 +163,18 @@ def enumerate_sdec_below_conductor(
     conductor, sorted by (degree, lhs, rhs)."""
     c = gamma.conductor
     vs = gamma.generators
+    # exponent vectors of weighted degree below c, one generator at a time
+    vectors: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for v in vs:
+        vectors = [
+            (prefix + (e,), degree + e * v)
+            for prefix, degree in vectors
+            for e in range((c - 1 - degree) // v + 1)
+        ]
     by_degree: dict[int, list[tuple[int, ...]]] = {}
-
-    def extend(i: int, prefix: list[int], degree: int) -> None:
-        if i == len(vs):
-            if degree > 0:
-                by_degree.setdefault(degree, []).append(tuple(prefix))
-            return
-        e = 0
-        while degree + e * vs[i] < c:
-            extend(i + 1, prefix + [e], degree + e * vs[i])
-            e += 1
-
-    if c > 0:
-        extend(0, [], 0)
+    for exponents, degree in vectors:
+        if degree > 0:
+            by_degree.setdefault(degree, []).append(exponents)
 
     out: list[DeceptiveBinomial] = []
     for degree in sorted(by_degree):

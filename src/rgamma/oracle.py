@@ -18,6 +18,7 @@ instantiated generators adds no new elements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -39,18 +40,29 @@ class RowEchelonBasis:
     pivot_orders: tuple[int, ...]
 
 
-def _to_vector(s: Series) -> list[Fraction]:
-    vec = [Fraction(0)] * s.modulus
+def _to_vector(s: Series) -> list[int]:
+    # the coefficients times the lcm of their denominators: an integer row
+    # spanning the same line
+    values = {}
     for exp, poly in s.items():
         value = poly.constant_value()
         if value is None:
             raise ValueError("the oracle needs numeric series (constant coefficients)")
-        vec[exp] = Fraction(value)
+        values[exp] = value
+    scale = math.lcm(*(q.denominator for q in values.values()))
+    vec = [0] * s.modulus
+    for exp, q in values.items():
+        vec[exp] = q.numerator * (scale // q.denominator)
     return vec
 
 
 def echelon_basis(series_list: Sequence[Series]) -> RowEchelonBasis:
-    """Reduced row echelon form of the span of the given numeric series."""
+    """Reduced row echelon form of the span of the given numeric series.
+
+    Elimination runs on integer rows: each step replaces a row by
+    a*row - b*pivot divided by its content, and the monic rational rows
+    are formed only at the end (the reduced form is unique).
+    """
     if not series_list:
         raise OrderZeroGenerator("nothing to span")
     modulus = series_list[0].modulus
@@ -70,18 +82,26 @@ def echelon_basis(series_list: Sequence[Series]) -> RowEchelonBasis:
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
+        pivot = rows[rank]
+        lead = pivot[col]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+                g = math.gcd(lead, rows[i][col])
+                a, b = lead // g, rows[i][col] // g
+                row = [a * x - b * y for x, y in zip(rows[i], pivot)]
+                content = math.gcd(*row)
+                if content > 1:
+                    row = [x // content for x in row]
+                rows[i] = row
         pivots.append(col)
         rank += 1
 
     basis = tuple(
-        Series(modulus, {e: Poly.const(q) for e, q in enumerate(row) if q})
-        for row in rows[:rank]
+        Series(
+            modulus,
+            {e: Poly.const(Fraction(x, row[col])) for e, x in enumerate(row) if x},
+        )
+        for row, col in zip(rows, pivots)
     )
     return RowEchelonBasis(modulus, basis, tuple(pivots))
 
@@ -105,18 +125,19 @@ def _closure_basis(generators: Sequence[Series]) -> RowEchelonBasis:
             ordered.append((order, s))
     ordered.sort(key=lambda pair: pair[0])
 
+    # every product of generators (as a multiset) with order sum below the
+    # modulus, by an explicit stack of (first allowed factor, product, order)
     spanning: list[Series] = [Series.one(modulus)]
-
-    def extend(start: int, product: Series, order: int) -> None:
+    stack = [(0, spanning[0], 0)]
+    while stack:
+        start, product, order = stack.pop()
         for j in range(start, len(ordered)):
             step = order + ordered[j][0]
             if step >= modulus:
                 break
             bigger = product * ordered[j][1]
             spanning.append(bigger)
-            extend(j, bigger, step)
-
-    extend(0, Series.one(modulus), 0)
+            stack.append((j, bigger, step))
     return echelon_basis(spanning)
 
 

@@ -29,6 +29,7 @@ Two equal values always render to the same string.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -98,14 +99,23 @@ def _natural(m: Monomial) -> list[tuple[str, int]]:
     return sorted(m, key=lambda ve: name_key(ve[0]))
 
 
-def _mono_word(m: Monomial) -> tuple:
-    # Tie-break for equal total degrees: ordering by (name, -exponent) pairs
-    # is ordering by the expanded variable words, without expanding them.
-    return tuple((name_key(var), -e) for var, e in _natural(m))
+def _term_key(m: Monomial, factors: list[tuple[str, int]]) -> list:
+    # Total degree descending, then the natural-order factors as a flat run
+    # of (name key, -exponent) pairs: ordering by those is ordering by the
+    # expanded variable words, without expanding them.  The key is flat, not
+    # a tuple of pairs, because every key of a Poly is held while it renders.
+    key: list = [-_mono_degree(m)]
+    for var, e in factors:
+        key += (name_key(var), -e)
+    return key
+
+
+def _factors_str(factors: list[tuple[str, int]]) -> str:
+    return "*".join(var if e == 1 else f"{var}^{e}" for var, e in factors)
 
 
 def _mono_str(m: Monomial) -> str:
-    return "*".join(var if e == 1 else f"{var}^{e}" for var, e in _natural(m))
+    return _factors_str(_natural(m))
 
 
 def _accumulate(terms: dict[Monomial, Scalar], other: Terms) -> None:
@@ -113,7 +123,8 @@ def _accumulate(terms: dict[Monomial, Scalar], other: Terms) -> None:
     for mono, coeff in other.items():
         s = terms.get(mono, 0) + coeff
         if s:
-            terms[mono] = s
+            # int when integral; testing the class first keeps ints cheap
+            terms[mono] = s if s.__class__ is int or s.denominator != 1 else s.numerator
         else:
             terms.pop(mono, None)
 
@@ -125,7 +136,7 @@ def _mul_into(terms: dict[Monomial, Scalar], a: Terms, b: Terms) -> None:
             mono = _mono_mul(m1, m2)
             s = terms.get(mono, 0) + c1 * c2
             if s:
-                terms[mono] = s
+                terms[mono] = s if s.__class__ is int or s.denominator != 1 else s.numerator
             else:
                 terms.pop(mono, None)
 
@@ -145,7 +156,8 @@ def _power(base, exponent: int, one):
 class Poly:
     """Immutable sparse polynomial over Q."""
 
-    __slots__ = ("_terms",)
+    # _text caches the rendering, which a value type can keep for life
+    __slots__ = ("_terms", "_text")
 
     def __init__(self, terms: Terms | None = None):
         clean: dict[Monomial, Scalar] = {}
@@ -155,12 +167,14 @@ class Poly:
                 if q:
                     clean[mono] = q
         self._terms = clean
+        self._text = None
 
     @classmethod
     def _make(cls, terms: dict[Monomial, Scalar]) -> "Poly":
         # trusted: no zero values, scalars already normalized
         p = object.__new__(cls)
         p._terms = terms
+        p._text = None
         return p
 
     # -- constructors -------------------------------------------------
@@ -252,7 +266,11 @@ class Poly:
         q = _norm_scalar(factor)
         if not q:
             return Poly._make({})
-        return Poly._make({m: c * q for m, c in self._terms.items()})
+        terms = {}
+        for m, c in self._terms.items():
+            s = c * q
+            terms[m] = s if s.__class__ is int or s.denominator != 1 else s.numerator
+        return Poly._make(terms)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -262,19 +280,39 @@ class Poly:
     # -- substitution and evaluation ----------------------------------
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate at a total assignment of the polynomial's variables."""
-        total: Scalar = 0
+        """Evaluate at a total assignment of the polynomial's variables.
+
+        Fraction-free: with the used values over one common denominator D
+        and the coefficients over one common denominator B, every term of
+        total degree k is an integer over B * D^k.  The integer sums per
+        degree are brought over B * D^top and divided once.
+        """
+        values: dict[str, Scalar] = {}
+        for mono in self._terms:
+            for var, _ in mono:
+                if var not in values:
+                    if var not in point:
+                        raise UnboundVariable(f"no value for variable {var!r}")
+                    v = point[var]
+                    values[var] = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        d = math.lcm(*(v.denominator for v in values.values()))
+        b = math.lcm(*(c.denominator for c in self._terms.values()))
+        nums = {var: v.numerator * (d // v.denominator) for var, v in values.items()}
+        powers: dict[tuple[str, int], int] = {}
+        sums: dict[int, int] = {}
         for mono, coeff in self._terms.items():
-            value = coeff
-            for var, e in mono:
-                if var not in point:
-                    raise UnboundVariable(f"no value for variable {var!r}")
-                v = point[var]
-                if not isinstance(v, (int, Fraction)):
-                    v = Fraction(v)
-                value = value * v ** e
-            total = total + value
-        return total
+            term = coeff.numerator * (b // coeff.denominator)
+            degree = 0
+            for factor in mono:
+                power = powers.get(factor)
+                if power is None:
+                    power = powers[factor] = nums[factor[0]] ** factor[1]
+                term *= power
+                degree += factor[1]
+            sums[degree] = sums.get(degree, 0) + term
+        top = max(sums, default=0)
+        total = sum(s * d ** (top - k) for k, s in sums.items())
+        return _norm_scalar(Fraction(total, b * d ** top))
 
     def substitute(self, name: str, replacement: "Poly") -> "Poly":
         """Replace every occurrence of ``name`` by a polynomial."""
@@ -318,31 +356,39 @@ class Poly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
+    def _ordered(self) -> list[tuple[list, Monomial, list, Scalar]]:
+        # (sort key, monomial, natural-order factors, coefficient) in
+        # canonical order: each monomial is put in natural order once
+        keyed = []
+        for mono, coeff in self._terms.items():
+            factors = _natural(mono)
+            keyed.append((_term_key(mono, factors), mono, factors, coeff))
+        keyed.sort(key=lambda entry: entry[0])
+        return keyed
+
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in canonical rendering order (degree desc, then word)."""
-        return sorted(
-            self._terms.items(),
-            key=lambda mc: (-_mono_degree(mc[0]), _mono_word(mc[0])),
-        )
+        return [(mono, coeff) for _, mono, _, coeff in self._ordered()]
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
+        if self._text is not None:
+            return self._text
         pieces: list[str] = []
-        for mono, coeff in self.sorted_terms():
+        for _, mono, factors, coeff in self._ordered():
             sign = "-" if coeff < 0 else "+"
             mag = abs(coeff)
             if not mono:
                 body = str(mag)
             elif mag == 1:
-                body = _mono_str(mono)
+                body = _factors_str(factors)
             else:
-                body = f"{mag}*{_mono_str(mono)}"
+                body = f"{mag}*{_factors_str(factors)}"
             if not pieces:
                 pieces.append(body if sign == "+" else f"-{body}")
             else:
                 pieces.append(f" {sign} {body}")
-        return "".join(pieces)
+        self._text = "".join(pieces) or "0"
+        return self._text
 
     def __repr__(self) -> str:
         return f"Poly({self})"

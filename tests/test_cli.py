@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rgamma
 from rgamma.cli import main
 
 
@@ -280,10 +283,13 @@ class TestHarness:
         assert first == second
 
     def test_module_entry_point(self):
+        # the child imports the package under test, whether installed or not
+        src = str(Path(rgamma.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "rgamma.cli", "semigroup", "4,6,13"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert "conductor: 16" in proc.stdout

@@ -1,9 +1,11 @@
 """Brute-force linear-algebra oracle for subalgebra closures."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import on_variety_values, random_point, random_semigroup
 from rgamma import (
@@ -12,6 +14,7 @@ from rgamma import (
     build_template,
     canonical_normal_form,
     echelon_basis,
+    enumerate_sdec_below_conductor,
     from_generators,
     instantiate,
     is_normal_form,
@@ -28,7 +31,53 @@ def series_from_exponents(modulus, *exponents):
     return out
 
 
+def naive_rref(rows, modulus):
+    """Plain Fraction Gauss-Jordan: the reference for echelon_basis."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(modulus):
+        found = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def row_series(modulus, row):
+    return Series(modulus, {e: Poly.const(q) for e, q in enumerate(row) if q})
+
+
+# sparse rational entries, half of them zero
+entries = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 10))
+)
+
+
 class TestEchelonBasis:
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda m: st.lists(st.lists(entries, min_size=m, max_size=m), min_size=1, max_size=6)
+        )
+    )
+    def test_equals_fraction_gauss_jordan(self, base):
+        modulus = len(base[0])
+        # a zero row, a duplicate row and a combination make the set rank-deficient
+        combination = [2 * x - y / 3 for x, y in zip(base[0], base[-1])]
+        rows = base + [[Fraction(0)] * modulus, base[0], combination]
+        expected_rows, expected_pivots = naive_rref(rows, modulus)
+        basis = echelon_basis([row_series(modulus, row) for row in rows])
+        assert basis.pivot_orders == tuple(expected_pivots)
+        assert basis.rows == tuple(row_series(modulus, row) for row in expected_rows)
+
     def test_known_rref(self):
         rows = [
             series_from_exponents(6, 1, 2),
@@ -215,6 +264,19 @@ class TestVerifyPoint:
         gamma = from_generators([1])
         template = build_template(gamma)
         assert verify_point(gamma, template.zero_point())
+
+    def test_leaves_no_reference_cycles(self, g4613):
+        template = build_template(g4613)
+        point = template.point({"b7": 1, "b9": Fraction(1, 2)}, fill_missing=True)
+        verify_point(g4613, point)
+        gc.collect()
+        gc.disable()
+        try:
+            verify_point(g4613, point)
+            enumerate_sdec_below_conductor(g4613)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_two_generator_points_always_verify(self):
         rng = random.Random(239)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import parse_poly, random_fraction
 from rgamma.errors import ModulusMismatch, UnboundVariable
@@ -103,6 +103,12 @@ class TestPoly:
     def test_evaluate_accepts_ints(self):
         p = parse_poly("2*x*y - y")
         assert p.evaluate({"x": 3, "y": 2}) == 10
+
+    def test_evaluate_converts_other_values(self):
+        p = parse_poly("4*x^2 - y")
+        assert p.evaluate({"x": "1/2", "y": 0.5}) == Fraction(1, 2)
+        value = p.evaluate({"x": 0.5, "y": "1"})
+        assert value == 0 and isinstance(value, int)
 
     def test_substitute(self):
         p = parse_poly("x^2 + x*y")
@@ -286,6 +292,29 @@ dense_polys = st.lists(
 ).map(lambda terms: poly_sum(Poly.monomial(m, c) for m, c in terms))
 
 
+# wider denominators and exponents, for evaluation against the plain fold
+wide_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+wide_polys = st.lists(
+    st.tuples(st.dictionaries(st.sampled_from(NAMES), st.integers(0, 5)), wide_fractions),
+    max_size=6,
+).map(lambda terms: poly_sum(Poly.monomial(m, c) for m, c in terms))
+
+
+def naive_evaluate(p, point):
+    """Plain Fraction fold over the terms: the reference for evaluate."""
+    total = Fraction(0)
+    for mono, coeff in p.terms():
+        value = Fraction(coeff)
+        for var, e in mono:
+            value *= Fraction(point[var]) ** e
+        total += value
+    return total
+
+
+def is_normalized(scalar):
+    return isinstance(scalar, int) or scalar.denominator > 1
+
+
 def series(modulus, coefficients=polys):
     return st.dictionaries(st.integers(0, modulus - 1), coefficients, max_size=4).map(
         lambda coeffs: Series(modulus, coeffs)
@@ -341,6 +370,20 @@ class TestArithmeticProperties:
     def test_substitute_commutes_with_evaluation(self, p, r, name, point):
         bound = {**point, name: r.evaluate(point)}
         assert p.substitute(name, r).evaluate(point) == p.evaluate(bound)
+
+    # points bind an unused extra variable too
+    @given(wide_polys, st.fixed_dictionaries({n: wide_fractions for n in (*NAMES, "z9")}))
+    def test_evaluate_is_fraction_fold(self, p, point):
+        value = p.evaluate(point)
+        assert value == naive_evaluate(p, point)
+        assert is_normalized(value)
+
+    @example(Poly.const(Fraction(1, 2)), Poly.variable("a5"), Fraction(2), 1, "a5")
+    @given(polys, polys, fractions, st.integers(0, 3), st.sampled_from(NAMES))
+    def test_coefficients_are_int_when_integral(self, p, q, f, n, name):
+        products = (p * q * Poly.const(2), p.scale(f), p ** n, p.substitute(name, q))
+        for r in (p + q, p - q, *products):
+            assert all(is_normalized(c) for _, c in r.terms())
 
     @given(polys, st.sampled_from(NAMES))
     def test_substitute_variable_by_itself_is_identity(self, p, name):
