@@ -18,6 +18,7 @@ is also what rendering and JSON use.  Both spellings are accepted on input.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,14 +155,44 @@ def instantiate(
 ) -> tuple[Series, ...]:
     """Numeric normal-form generators at a coefficient point."""
     values = point.as_dict()
-    for name in template.variables:
+    coeffs = [{v: Poly.const(1)} for v in template.semigroup.generators]
+    for (i, delta), name in template._display.items():
         if name not in values:
             raise UnboundVariable(f"no value for template variable {name!r}")
+        coeffs[i][delta] = Poly.const(values[name])
+    return tuple(Series(template.modulus, c) for c in coeffs)
 
-    def to_const(p: Poly) -> Poly:
-        return Poly.const(p.evaluate(values))
 
-    return tuple(s.map_coefficients(to_const) for s in template.generators)
+def integer_generators(
+    template: NormalFormTemplate, point: CoefficientPoint
+) -> tuple[int, tuple[list[int], ...]]:
+    """The generators at a point as integer coefficient lists, through the
+    torus action t -> D*t.
+
+    With D the lcm of the point's denominators, x_i(D*t) / D^{v_i} is again
+    monic and carries a_{i,delta} * D^(delta - v_i) at t^delta, an integer
+    because delta > v_i.  Returns D and one list of length ``modulus`` per
+    generator (all zero for a generator at or past the modulus).  By
+    weighted homogeneity, a coefficient of weight w computed from these
+    lists is D^w times its value at the point.
+    """
+    values = point.as_dict()
+    slots = {}
+    for slot, name in template._display.items():
+        if name not in values:
+            raise UnboundVariable(f"no value for template variable {name!r}")
+        q = values[name]
+        slots[slot] = q if isinstance(q, (int, Fraction)) else Fraction(q)
+    scale = math.lcm(*(q.denominator for q in slots.values()))
+    vs = template.semigroup.generators
+    rows = tuple([0] * template.modulus for _ in vs)
+    for row, v in zip(rows, vs):
+        if v < template.modulus:
+            row[v] = 1
+    for (i, delta), q in slots.items():
+        weight = delta - vs[i]
+        rows[i][delta] = q.numerator * (scale // q.denominator) * scale ** (weight - 1)
+    return scale, rows
 
 
 def is_normal_form(

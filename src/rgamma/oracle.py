@@ -14,6 +14,14 @@ over Q answers everything:
 This is the oracle the symbolic pipeline is tested against: a template
 point lies in the variety precisely when the closure semigroup of its
 instantiated generators adds no new elements.
+
+Everything runs on integer rows: each generator is scaled once by the lcm
+of its denominators, products are truncated integer convolutions
+(symcore.truncated_product, the one helper shared with the point path) and
+elimination divides each new row by its content.  What stays independent
+of the path under test: the oracle never touches the reduction, the
+defining equations or normalform.integer_generators; it starts from
+``instantiate`` and knows only products and linear algebra.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Sequence
 from .errors import ModulusMismatch, OrderZeroGenerator
 from .normalform import CoefficientPoint, build_template, instantiate
 from .semigroup import NumericalSemigroup
-from .symcore import Poly, Series
+from .symcore import Poly, Series, truncated_product
 
 
 @dataclass(frozen=True)
@@ -56,24 +64,14 @@ def _to_vector(s: Series) -> list[int]:
     return vec
 
 
-def echelon_basis(series_list: Sequence[Series]) -> RowEchelonBasis:
-    """Reduced row echelon form of the span of the given numeric series.
-
-    Elimination runs on integer rows: each step replaces a row by
-    a*row - b*pivot divided by its content, and the monic rational rows
-    are formed only at the end (the reduced form is unique).
-    """
-    if not series_list:
-        raise OrderZeroGenerator("nothing to span")
-    modulus = series_list[0].modulus
-    for s in series_list[1:]:
-        if s.modulus != modulus:
-            raise ModulusMismatch("series must share one modulus")
-
-    rows = [_to_vector(s) for s in series_list]
+def _echelon(rows: list[list[int]], reduced: bool = True) -> list[int]:
+    # Gauss-Jordan on integer rows in place: each step replaces a row by
+    # a*row - b*pivot divided by its content.  The pivot rows end up first,
+    # each with its pivot column cleared from every later row, and from
+    # every earlier one too when ``reduced``; returns the pivot columns.
     pivots: list[int] = []
     rank = 0
-    for col in range(modulus):
+    for col in range(len(rows[0])):
         pivot_row = None
         for i in range(rank, len(rows)):
             if rows[i][col]:
@@ -84,7 +82,7 @@ def echelon_basis(series_list: Sequence[Series]) -> RowEchelonBasis:
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         pivot = rows[rank]
         lead = pivot[col]
-        for i in range(len(rows)):
+        for i in range(0 if reduced else rank + 1, len(rows)):
             if i != rank and rows[i][col]:
                 g = math.gcd(lead, rows[i][col])
                 a, b = lead // g, rows[i][col] // g
@@ -95,7 +93,12 @@ def echelon_basis(series_list: Sequence[Series]) -> RowEchelonBasis:
                 rows[i] = row
         pivots.append(col)
         rank += 1
+    return pivots
 
+
+def _monic_basis(rows: list[list[int]], pivots: list[int]) -> RowEchelonBasis:
+    # the reduced form is unique: the pivot rows made monic
+    modulus = len(rows[0])
     basis = tuple(
         Series(
             modulus,
@@ -106,7 +109,25 @@ def echelon_basis(series_list: Sequence[Series]) -> RowEchelonBasis:
     return RowEchelonBasis(modulus, basis, tuple(pivots))
 
 
-def _closure_basis(generators: Sequence[Series]) -> RowEchelonBasis:
+def echelon_basis(series_list: Sequence[Series]) -> RowEchelonBasis:
+    """Reduced row echelon form of the span of the given numeric series.
+
+    Elimination runs on integer rows; the monic rational rows are formed
+    only at the end.
+    """
+    if not series_list:
+        raise OrderZeroGenerator("nothing to span")
+    modulus = series_list[0].modulus
+    for s in series_list[1:]:
+        if s.modulus != modulus:
+            raise ModulusMismatch("series must share one modulus")
+    rows = [_to_vector(s) for s in series_list]
+    return _monic_basis(rows, _echelon(rows))
+
+
+def _spanning_rows(generators: Sequence[Series]) -> list[list[int]]:
+    # integer rows of every product of generators (as a multiset) with
+    # order sum below the modulus
     if not generators:
         raise OrderZeroGenerator("subalgebra generators required, got an empty list")
     modulus = generators[0].modulus
@@ -122,30 +143,35 @@ def _closure_basis(generators: Sequence[Series]) -> RowEchelonBasis:
                 "generators must have positive order (units generate everything)"
             )
         if order is not None:
-            ordered.append((order, s))
+            ordered.append((order, _to_vector(s)))
     ordered.sort(key=lambda pair: pair[0])
 
-    # every product of generators (as a multiset) with order sum below the
-    # modulus, by an explicit stack of (first allowed factor, product, order)
-    spanning: list[Series] = [Series.one(modulus)]
-    stack = [(0, spanning[0], 0)]
+    # an explicit stack of (first allowed factor, product, order)
+    one = [1] + [0] * (modulus - 1)
+    spanning = [one]
+    stack = [(0, one, 0)]
     while stack:
         start, product, order = stack.pop()
         for j in range(start, len(ordered)):
             step = order + ordered[j][0]
             if step >= modulus:
                 break
-            bigger = product * ordered[j][1]
+            bigger = truncated_product(product, ordered[j][1])
             spanning.append(bigger)
             stack.append((j, bigger, step))
-    return echelon_basis(spanning)
+    return spanning
+
+
+def _closure_basis(generators: Sequence[Series]) -> RowEchelonBasis:
+    rows = _spanning_rows(generators)
+    return _monic_basis(rows, _echelon(rows))
 
 
 def subalgebra_closure_semigroup(generators: Sequence[Series]) -> frozenset[int]:
     """Positive orders below the modulus realized by the algebra generated
     by the given numeric series."""
-    basis = _closure_basis(generators)
-    return frozenset(p for p in basis.pivot_orders if p > 0)
+    pivots = _echelon(_spanning_rows(generators), reduced=False)
+    return frozenset(p for p in pivots if p > 0)
 
 
 def canonical_normal_form(

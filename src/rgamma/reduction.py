@@ -9,28 +9,36 @@ minimal factorization e of n.  Each subtraction clears t^n exactly (the
 monomial series is monic of order n) and only disturbs higher powers, so
 the result -- the reduction of r -- is supported on the gaps of Gamma.
 
-The substitution phi: x_i -> x_i(t) has one implementation, Substitution;
-ReductionContext extends it with the semigroup and the reduction.
+On Series, the substitution phi: x_i -> x_i(t) has one implementation,
+Substitution; ReductionContext extends it with the semigroup and the
+reduction.
 
 The trace records every removal step and the witness polynomial
 F = sum q * x^e, giving the exact reconstruction r = red(r) + phi(F).
-Coefficients are Poly values throughout, so the same code path serves the
-symbolic template generators and numeric instantiations.
+ReductionContext keeps Poly coefficients throughout, so one code path
+serves the symbolic template generators and the numeric series that
+``rgamma reduce`` takes.
 
 Reducing with generator indices restricts the removable powers to sums of
 that subset of the generators, which is what the plane stratum test needs.
+
+Reduction commutes with specialising the coefficients, so at an explicit
+point IntegerReduction runs the same walk on integer coefficient lists
+(the generators of normalform.integer_generators) and reads the gap
+coefficients directly, without the symbolic equations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ArityMismatch, EmptyInput, ModulusMismatch, NotNormalForm
 from .deceptive import generator_variable_names
 from .normalform import is_normal_form, template_modulus
 from .semigroup import NumericalSemigroup
-from .symcore import Poly, Series, poly_sum
+from .symcore import MutableSeries, Poly, Series, poly_sum, truncated_product
 
 
 @dataclass(frozen=True)
@@ -52,9 +60,23 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class ReductionTrace:
+    """The reduced series and the removal steps; ``names`` are the ring
+    variables the witness is written in."""
+
     reduced: Series
     steps: tuple[ReductionStep, ...]
-    witness: Poly
+    names: tuple[str, ...]
+
+    @cached_property
+    def witness(self) -> Poly:
+        """F = sum q * x^e, formed on first use: the defining equations
+        never read it (for <11,13,17> it has 13,735 terms)."""
+        return poly_sum(
+            s.multiplier * Poly.monomial(
+                {self.names[i]: e for i, e in enumerate(s.factorization) if e}
+            )
+            for s in self.steps
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,23 +201,55 @@ class ReductionContext(Substitution):
             raise ModulusMismatch(
                 f"input lives mod t^{r.modulus}, generators mod t^{self.modulus}"
             )
-        current = r
+        current = MutableSeries(r)
         steps: list[ReductionStep] = []
         for n in self._removable(indices):
-            q = current.coefficient(n)
+            q = current.pop(n)
             if q.is_zero:
                 continue
             vec = self.gamma.revlex_min_factorization(n, indices)
-            # adding scale(-q) negates one Poly; subtracting negates a series
-            current = current + self.monomial_series(vec).scale(-q)
+            # x^vec is monic of order n: subtracting q * x^vec clears t^n,
+            # whose coefficient was popped, and changes only higher powers
+            current.add_product(self.monomial_series(vec), -q, n + 1)
             steps.append(ReductionStep(n, q, vec))
-        witness = poly_sum(
-            s.multiplier * Poly.monomial(
-                {self.names[i]: e for i, e in enumerate(s.factorization) if e}
-            )
-            for s in steps
-        )
-        return ReductionTrace(current, tuple(steps), witness)
+        return ReductionTrace(current.freeze(), tuple(steps), self.names)
+
+
+class IntegerReduction:
+    """Reduction against monic integer normal-form rows, such as
+    normalform.integer_generators gives; series are integer coefficient
+    lists of the same length, and monomials in the rows are cached."""
+
+    def __init__(self, gamma: NumericalSemigroup, rows: Sequence[list[int]]):
+        self.gamma = gamma
+        self.rows = tuple(rows)
+        self.modulus = len(self.rows[0])
+        one = [0] * self.modulus
+        one[0] = 1
+        self._monomials: dict[tuple[int, ...], list[int]] = {(0,) * len(self.rows): one}
+
+    def monomial(self, vec: tuple[int, ...]) -> list[int]:
+        """x^vec, built from the cached x^(vec - e_i) for its first i in use."""
+        m = self._monomials.get(vec)
+        if m is None:
+            i = next(i for i, e in enumerate(vec) if e)
+            smaller = vec[:i] + (vec[i] - 1,) + vec[i + 1:]
+            m = truncated_product(self.monomial(smaller), self.rows[i])
+            self._monomials[vec] = m
+        return m
+
+    def binomial(self, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> list[int]:
+        """phi(x^lhs - x^rhs) as a new list."""
+        return [a - b for a, b in zip(self.monomial(lhs), self.monomial(rhs))]
+
+    def reduce(self, r: list[int], indices: Optional[Sequence[int]] = None) -> list[int]:
+        """Reduce r in place (over the indexed generators) and return it."""
+        for n in self.gamma.subset_elements(indices):
+            q = r[n]
+            if q:
+                m = self.monomial(self.gamma.revlex_min_factorization(n, indices))
+                r[n:] = [x - q * y for x, y in zip(r[n:], m[n:])]
+        return r
 
 
 def reduce(

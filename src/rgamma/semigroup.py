@@ -132,8 +132,16 @@ class NumericalSemigroup:
             raise ValueError(f"generator indices out of range: {indices}")
         return subset
 
-    def _prefix_reach(self, subset: tuple[int, ...], limit: int) -> list[bytearray]:
-        """reach[j][m]: m is a sum of the first j+1 selected generators."""
+    @cached_property
+    def _reach(self) -> dict[tuple[int, ...], list[bytearray]]:
+        return {}
+
+    def _prefix_reach(self, subset: tuple[int, ...]) -> list[bytearray]:
+        """reach[j][m]: m is a sum of the first j+1 selected generators, for
+        m below the conductor; cached per subset."""
+        if subset in self._reach:
+            return self._reach[subset]
+        limit = max(self.conductor - 1, 0)
         sel = [self.generators[i] for i in subset]
         reach: list[bytearray] = []
         for j, v in enumerate(sel):
@@ -146,6 +154,7 @@ class NumericalSemigroup:
                 elif v <= m and row[m - v]:
                     row[m] = 1
             reach.append(row)
+        self._reach[subset] = reach
         return reach
 
     def subset_elements(self, indices: Optional[Sequence[int]] = None) -> tuple[int, ...]:
@@ -156,7 +165,7 @@ class NumericalSemigroup:
             return self.elements_below_conductor
         if self.conductor <= 1:
             return ()
-        reach = self._prefix_reach(subset, self.conductor - 1)[-1]
+        reach = self._prefix_reach(subset)[-1]
         return tuple(n for n in range(1, self.conductor) if reach[n])
 
     def revlex_min_factorization(
@@ -176,7 +185,7 @@ class NumericalSemigroup:
             raise NotRepresentable(
                 f"{n} is not strictly between 0 and the conductor {self.conductor}"
             )
-        reach = self._prefix_reach(subset, n)
+        reach = self._prefix_reach(subset)
         if not reach[-1][n]:
             sel = [self.generators[i] for i in subset]
             raise NotRepresentable(f"{n} is not a sum of the generators {sel}")

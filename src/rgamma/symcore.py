@@ -12,13 +12,20 @@ Two immutable value types carry all symbolic computation in this package:
 
 * :class:`Series`, an element of Q[vars][t] / (t^modulus): a polynomial in
   ``t`` truncated at a fixed power, whose coefficients are ``Poly`` values.
-  Numeric series are simply the special case where every coefficient is a
-  constant polynomial.  Keeping one representation for both lets symbolic
-  and numeric pipelines share every code path.
+  Numeric series are the special case where every coefficient is a
+  constant polynomial: ``instantiate`` returns them, and ``rgamma reduce``
+  and the oracle's public functions take them.
+
+The work at an explicit point (membership, the plane test, and the
+oracle's products and elimination) does not use Series: it runs on integer
+coefficient lists of length ``modulus``, indexed by the power of ``t``,
+and ``truncated_product`` is its one product.
 
 Every sum of term dicts goes through ``_accumulate`` and every product
 through ``_mul_into``; these two are the only loops that merge terms, and
-``_mul_into`` is the only caller of ``_mono_mul``.
+``_mul_into`` is the only caller of ``_mono_mul``.  :class:`MutableSeries`
+is the one mutable value: the reduction merges its products into it in
+place instead of forming a new Series per step.
 
 Rendering is canonical: polynomial terms are ordered by total degree
 descending, then by the word of variables (natural name order, so ``a9``
@@ -32,7 +39,7 @@ import functools
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ModulusMismatch, UnboundVariable
 
@@ -63,6 +70,14 @@ def _mono(exponents: Mapping[str, int]) -> Monomial:
     return tuple(sorted((v, e) for v, e in exponents.items() if e))
 
 
+@functools.cache
+def _pair(var: str, e: int) -> tuple[str, int]:
+    # one shared object per (variable, exponent): a large product holds
+    # thousands of monomials but few distinct pairs (the 11,096-term
+    # equations of <11,13,17> held 8,851 separate pair tuples without it)
+    return (var, e)
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     # merge of two name-sorted exponent tuples
     if not a:
@@ -76,7 +91,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         va, ea = a[i]
         vb, eb = b[j]
         if va == vb:
-            out.append((va, ea + eb))
+            out.append(_pair(va, ea + eb))
             i += 1
             j += 1
         elif va < vb:
@@ -151,6 +166,22 @@ def _power(base, exponent: int, one):
         if exponent:
             base = base * base
     return result
+
+
+def truncated_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a*b mod t^n for two coefficient lists of one length n, indexed by
+    the power of t."""
+    n = len(a)
+    out = [0] * n
+    later = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in later:
+                k = i + j
+                if k >= n:
+                    break
+                out[k] += x * y
+    return out
 
 
 class Poly:
@@ -523,9 +554,6 @@ class Series:
             raise ValueError("negative power of a truncated series")
         return _power(self, exponent, Series.one(self.modulus))
 
-    def map_coefficients(self, fn: Callable[[Poly], Poly]) -> "Series":
-        return Series(self.modulus, {e: fn(p) for e, p in self._coeffs.items()})
-
     # -- identity and rendering ---------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -570,3 +598,30 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series(mod t^{self.modulus}: {self})"
+
+
+class MutableSeries:
+    """A Series being reduced in place: each power of t keeps one term dict
+    that products are merged into, so no intermediate Series or Poly is
+    formed per step."""
+
+    __slots__ = ("modulus", "_terms")
+
+    def __init__(self, s: Series):
+        self.modulus = s.modulus
+        self._terms = {e: dict(p._terms) for e, p in s._coeffs.items()}
+
+    def pop(self, exp: int) -> Poly:
+        """Remove the coefficient of t^exp and return it."""
+        return Poly._make(self._terms.pop(exp, {}))
+
+    def add_product(self, s: Series, factor: Poly, start: int) -> None:
+        """Add factor * s to the powers of t from ``start`` on."""
+        for exp, poly in s._coeffs.items():
+            if exp >= start:
+                _mul_into(self._terms.setdefault(exp, {}), poly._terms, factor._terms)
+
+    def freeze(self) -> Series:
+        return Series._make(
+            self.modulus, {e: Poly._make(t) for e, t in self._terms.items() if t}
+        )

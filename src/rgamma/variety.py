@@ -16,6 +16,10 @@ For three-generator semigroups passing the plane criterion there is a
 finer question: which points are algebras of plane curve branches.  The
 test reduces phi(y^k1 - x^k0) against the first two generators only and
 asks for order exactly v_2.
+
+Membership and the plane test never evaluate the symbolic equations: they
+reduce at the point itself, on the integer generators of
+normalform.integer_generators (see reduction.IntegerReduction).
 """
 
 from __future__ import annotations
@@ -31,12 +35,15 @@ from .deceptive import (
     idec_generators_3gen,
 )
 from .errors import NotInVariety, WrongGeneratorCount
-from .normalform import CoefficientPoint, NormalFormTemplate, build_template, instantiate
-from .reduction import ReductionContext
+from .normalform import (
+    CoefficientPoint,
+    NormalFormTemplate,
+    build_template,
+    integer_generators,
+)
+from .reduction import IntegerReduction, ReductionContext
 from .semigroup import NumericalSemigroup, is_plane_semigroup
-from .symcore import Poly
-
-Scalar = Union[Fraction, int]
+from .symcore import Poly, Scalar, _norm_scalar
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,7 @@ def predicted_dim_single_binomial(gamma: NumericalSemigroup) -> Optional[int]:
 @dataclass(frozen=True)
 class Violation:
     equation: Equation
-    value: Fraction
+    value: Scalar
 
 
 @dataclass(frozen=True)
@@ -236,32 +243,61 @@ class MembershipReport:
         }
 
 
+def _point_reduction(
+    template: NormalFormTemplate,
+    point: Union[CoefficientPoint, Mapping[str, Scalar]],
+) -> tuple[int, IntegerReduction]:
+    # the integer generators at the point and their scale D
+    if not isinstance(point, CoefficientPoint):
+        point = template.point(point)
+    scale, rows = integer_generators(template, point)
+    return scale, IntegerReduction(template.semigroup, rows)
+
+
+def _unscaled(value: int, scale: int, weight: int) -> Scalar:
+    # a coefficient of this weight at the point, from its integer value
+    return _norm_scalar(Fraction(value, scale**weight)) if scale > 1 else value
+
+
+def _membership(
+    presentation: VarietyPresentation, scale: int, red: IntegerReduction
+) -> MembershipReport:
+    reduced: dict[DeceptiveBinomial, list[int]] = {}
+    violations = []
+    for equation in presentation.equations:
+        source = equation.source
+        if source not in reduced:
+            binomial = red.binomial(source.lhs.exponents, source.rhs.exponents)
+            reduced[source] = red.reduce(binomial)
+        value = reduced[source][equation.gap]
+        if value:
+            weight = equation.gap - source.degree
+            violations.append(Violation(equation, _unscaled(value, scale, weight)))
+    return MembershipReport(not violations, tuple(violations))
+
+
 def membership(
     gamma: NumericalSemigroup,
     point: Union[CoefficientPoint, Mapping[str, Scalar]],
     presentation: Optional[VarietyPresentation] = None,
 ) -> MembershipReport:
-    """Evaluate every defining equation at a total coefficient point."""
+    """Evaluate every defining equation at a total coefficient point.
+
+    The value of the equation (source, gap) is the coefficient of t^gap
+    left after reducing phi(source) at the point, which is what evaluating
+    its polynomial gives, since reduction commutes with specialising the
+    coefficients.
+    """
     if presentation is None:
         presentation = defining_equations(gamma)
-    if isinstance(point, CoefficientPoint):
-        values = point.as_dict()
-    else:
-        values = presentation.template.point(point).as_dict()
-
-    violations = []
-    for equation in presentation.equations:
-        value = equation.poly.evaluate(values)
-        if value:
-            violations.append(Violation(equation, value))
-    return MembershipReport(not violations, tuple(violations))
+    return _membership(presentation, *_point_reduction(presentation.template, point))
 
 
 @dataclass(frozen=True)
 class PlaneStratumReport:
     is_plane_point: bool
     reduced_order: Optional[int]
-    leading_coefficient: Fraction
+    leading_coefficient: Scalar
     criterion_is_plane: bool
 
     def to_json_dict(self) -> dict:
@@ -294,32 +330,23 @@ def plane_test_3gen(
         )
     if presentation is None:
         presentation = defining_equations(gamma)
-    template = presentation.template
-    if not isinstance(point, CoefficientPoint):
-        point = template.point(point)
-
-    report = membership(gamma, point, presentation)
+    scale, red = _point_reduction(presentation.template, point)
+    report = _membership(presentation, scale, red)
     if not report.in_variety:
         tags = ", ".join(v.equation.tag() for v in report.violations)
         raise NotInVariety(f"point violates {tags}")
 
-    ideal = idec_generators_3gen(gamma)
-    k0, k1 = ideal.ks[0], ideal.ks[1]
-    ctx = ReductionContext(gamma, instantiate(template, point))
-    x, y = ctx.names[:2]
-    binomial = Poly.monomial({y: k1}) - Poly.monomial({x: k0})
-    trace = ctx.reduce(ctx.phi(binomial), (0, 1))
-    order = trace.reduced.order()
-    lead = Fraction(0)
-    if order is not None:
-        const = trace.reduced.coefficient(order).constant_value()
-        assert const is not None
-        lead = const
+    k0, k1 = idec_generators_3gen(gamma).ks[:2]
+    series = red.reduce(red.binomial((0, k1, 0), (k0, 0, 0)), (0, 1))
+    order = next((n for n, q in enumerate(series) if q), None)
+    lead: Scalar = Fraction(0)
+    if order == vs[2]:
+        lead = _unscaled(series[order], scale, order - k0 * vs[0])
 
     criterion = is_plane_semigroup(gamma).is_plane
     return PlaneStratumReport(
         is_plane_point=criterion and order == vs[2],
         reduced_order=order,
-        leading_coefficient=lead if order == vs[2] else Fraction(0),
+        leading_coefficient=lead,
         criterion_is_plane=criterion,
     )

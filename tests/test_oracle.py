@@ -21,6 +21,7 @@ from rgamma import (
     subalgebra_closure_semigroup,
     verify_point,
 )
+from rgamma.oracle import _closure_basis
 from rgamma.symcore import Poly, Series
 
 
@@ -50,6 +51,32 @@ def naive_rref(rows, modulus):
         pivots.append(col)
         rank += 1
     return rows[:rank], pivots
+
+
+def naive_closure(generators):
+    """Every product of generators (as a multiset) with order sum below the
+    modulus, multiplied as Series and row-reduced by naive_rref: the
+    reference for the oracle's closure basis."""
+    modulus = generators[0].modulus
+    ordered = sorted(
+        ((s.order(), s) for s in generators if not s.is_zero), key=lambda pair: pair[0]
+    )
+    spanning = [Series.one(modulus)]
+    stack = [(0, spanning[0], 0)]
+    while stack:
+        start, product, order = stack.pop()
+        for j in range(start, len(ordered)):
+            step = order + ordered[j][0]
+            if step >= modulus:
+                break
+            bigger = product * ordered[j][1]
+            spanning.append(bigger)
+            stack.append((j, bigger, step))
+    rows = [
+        [Fraction(s.coefficient(e).constant_value()) for e in range(modulus)]
+        for s in spanning
+    ]
+    return naive_rref(rows, modulus)
 
 
 def row_series(modulus, row):
@@ -146,7 +173,46 @@ class TestEchelonBasis:
             echelon_basis([Series.term(4, 1, Poly.variable("a5"))])
 
 
+@st.composite
+def numeric_generators(draw):
+    """One to four numeric series of positive order, orders drawn from a
+    short range so that equal orders are common; zero series included."""
+    modulus = draw(st.integers(2, 14))
+    generators = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 9)) == 0:
+            generators.append(Series.zero(modulus))
+            continue
+        order = draw(st.integers(1, min(modulus - 1, 5)))
+        lead = draw(entries.filter(bool))
+        size = modulus - order - 1
+        tail = draw(st.lists(entries, min_size=size, max_size=size))
+        row = [0] * order + [lead] + tail
+        generators.append(row_series(modulus, row))
+    return generators
+
+
 class TestClosure:
+    @given(numeric_generators())
+    def test_equals_series_product_closure(self, generators):
+        expected_rows, expected_pivots = naive_closure(generators)
+        modulus = generators[0].modulus
+        basis = _closure_basis(generators)
+        assert basis.pivot_orders == tuple(expected_pivots)
+        assert basis.rows == tuple(row_series(modulus, row) for row in expected_rows)
+        assert subalgebra_closure_semigroup(generators) == frozenset(
+            p for p in expected_pivots if p > 0
+        )
+
+    def test_equal_orders(self):
+        # x and x + t^3 share order 2; their difference adds order 3
+        x = series_from_exponents(8, 2)
+        y = series_from_exponents(8, 2, 3)
+        expected_rows, expected_pivots = naive_closure([x, y])
+        basis = _closure_basis([x, y])
+        assert basis.pivot_orders == tuple(expected_pivots) == (0, 2, 3, 4, 5, 6, 7)
+        assert basis.rows == tuple(row_series(8, row) for row in expected_rows)
+
     def test_known_monomial_algebra(self):
         gens = [Series.term(16, v, 1) for v in (4, 6, 13)]
         closure = subalgebra_closure_semigroup(gens)

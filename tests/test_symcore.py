@@ -10,7 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import parse_poly, random_fraction
 from rgamma.errors import ModulusMismatch, UnboundVariable
-from rgamma.symcore import Poly, Series, name_key, poly_sum
+from rgamma.symcore import (
+    MutableSeries,
+    Poly,
+    Series,
+    name_key,
+    poly_sum,
+    truncated_product,
+)
 
 
 def rand_poly(rng, names=("a5", "b7", "c15"), max_terms=4, max_exp=3):
@@ -252,11 +259,6 @@ class TestSeries:
         assert scaled.coefficient(3) == q
         assert scaled.coefficient(5) == q.scale(2)
 
-    def test_map_coefficients(self):
-        s = Series.term(10, 3, parse_poly("a5 + 1"))
-        mapped = s.map_coefficients(lambda p: p.substitute("a5", Poly.const(2)))
-        assert mapped == Series.term(10, 3, 3)
-
     def test_distributivity_randomized(self):
         rng = random.Random(59)
         for _ in range(30):
@@ -360,6 +362,38 @@ class TestArithmeticProperties:
             for k in range(5)
         }
         assert s * u == Series(5, convolution)
+
+    @given(
+        series(6, dense_polys), series(6, dense_polys), dense_polys,
+        st.integers(0, 5), st.integers(0, 6),
+    )
+    def test_mutable_series_is_sum_of_scaled_tail(self, s, u, f, popped, start):
+        work = MutableSeries(s)
+        assert work.pop(popped) == s.coefficient(popped)
+        work.add_product(u, f, start)
+        rest = s - Series.term(6, popped, s.coefficient(popped))
+        tail = Series(6, {e: p for e, p in u.items() if e >= start})
+        assert work.freeze() == rest + tail.scale(f)
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=2, max_size=2
+            )
+        )
+    )
+    def test_truncated_product_is_series_product(self, rows):
+        n = len(rows[0])
+        a, b = (Series(n, {e: Poly.const(x) for e, x in enumerate(r)}) for r in rows)
+        expected = [(a * b).coefficient(e).constant_value() for e in range(n)]
+        assert truncated_product(*rows) == expected
+
+    def test_merged_factor_pairs_are_shared(self):
+        # large products hold thousands of monomials but few distinct pairs
+        x = Poly.variable("a5")
+        squares = [(x + Poly.variable(name)) ** 2 for name in ("b7", "c15")]
+        pairs = [pair for p in squares for mono, _ in p.terms() for pair in mono]
+        assert len({id(pair) for pair in pairs if pair == ("a5", 2)}) == 1
 
     @given(
         dense_polys,

@@ -13,15 +13,29 @@ from conftest import (
 )
 from rgamma import (
     NotInVariety,
+    ReductionContext,
     UnboundVariable,
     WrongGeneratorCount,
     defining_equations,
     eliminate_linear,
     from_generators,
+    idec_generators_3gen,
+    instantiate,
+    is_plane_semigroup,
     membership,
     plane_test_3gen,
     predicted_dim_single_binomial,
 )
+from rgamma.symcore import Poly
+
+# the 25 semigroups criterion 7 of the acceptance suite draws (seed 40)
+CRITERION_7_SEMIGROUPS = (
+    (2, 11), (3, 11), (2, 3), (2, 3), (5, 11), (7, 8, 12, 13), (5, 6, 7),
+    (3, 7, 11), (4, 6, 9), (2, 3), (4, 5, 6), (2, 9), (4, 5), (4, 10, 15),
+    (2, 11), (5, 7, 9), (3, 4), (5, 8, 11), (6, 7), (7, 10, 12, 15),
+    (2, 11), (2, 13), (3, 4), (4, 10, 11), (5, 7, 8),
+)
+PLANE_TRIPLES = ((4, 6, 13), (4, 6, 17), (4, 10, 21))
 
 
 class TestPresentation:
@@ -229,25 +243,131 @@ class TestMembership:
         }
 
 
-class TestPlaneStratum:
-    def grid_point(self, pres, result, a5, b7):
-        values = {name: Fraction(0) for name in pres.template.variables}
-        values["a5"] = Fraction(a5)
-        values["b7"] = Fraction(b7)
-        for s in result.solved:
-            values[s.name] = s.expression.evaluate(values)
-        return pres.template.point(values)
+def cross_check_points(rng, presentation):
+    """Points on and off the variety, the zero point, negative values and
+    fractions over one shared denominator and over coprime ones."""
+    template = presentation.template
+    names = template.variables
+    result = eliminate_linear(presentation)
+    on = [on_variety_values(rng, presentation, result) for _ in range(2)]
+    off = dict(on[1])
+    if result.solved:
+        off[rng.choice(result.solved).name] += rng.randint(1, 5)
+    yield template.zero_point()
+    for values in (on[0], on[1], off):
+        yield template.point(values)
+    yield template.point({n: Fraction(-rng.randint(1, 9)) for n in names})
+    yield template.point({n: Fraction(rng.randint(-9, 9), 6) for n in names})
+    yield template.point(
+        {n: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for n in names}
+    )
 
+
+class TestMembershipMatchesEquations:
+    """membership reduces at the point instead of evaluating the symbolic
+    equations; every equation's polynomial must still give its value."""
+
+    @pytest.mark.parametrize(
+        "generators",
+        sorted(set(CRITERION_7_SEMIGROUPS))
+        + list(PLANE_TRIPLES)
+        + [(11, 13, 17), (4, 6, 15, 17), (7, 8, 9, 20)],
+        ids=lambda generators: ",".join(map(str, generators)),
+    )
+    def test_values_equal_polynomial_evaluation(self, generators):
+        gamma = from_generators(generators)
+        presentation = defining_equations(gamma)
+        rng = random.Random(sum(generators))
+        for point in cross_check_points(rng, presentation):
+            values = point.as_dict()
+            expected = []
+            for equation in presentation.equations:
+                value = equation.poly.evaluate(values)
+                if value:
+                    expected.append((equation, value, type(value)))
+            report = membership(gamma, point, presentation)
+            got = [(v.equation, v.value, type(v.value)) for v in report.violations]
+            assert got == expected, (generators, str(point))
+            assert report.in_variety == (not expected)
+
+    def test_generator_past_the_conductor(self):
+        # 15 and 17 lie past the conductor 14: their template series is zero
+        gamma = from_generators([4, 6, 15, 17])
+        assert gamma.conductor == 14
+        presentation = defining_equations(gamma)
+        assert presentation.equations
+        point = presentation.template.point({"b7": 1}, fill_missing=True)
+        assert not membership(gamma, point, presentation).in_variety
+
+
+def grid_point(pres, result, a5, b7):
+    values = {name: Fraction(0) for name in pres.template.variables}
+    values["a5"] = Fraction(a5)
+    values["b7"] = Fraction(b7)
+    for s in result.solved:
+        values[s.name] = s.expression.evaluate(values)
+    return pres.template.point(values)
+
+
+def series_plane_test(gamma, point, presentation):
+    """The plane test on symbolic-path Series: the reference for
+    plane_test_3gen, from (is_plane_point, reduced_order, leading_coefficient)."""
+    vs = gamma.generators
+    ks = idec_generators_3gen(gamma).ks
+    ctx = ReductionContext(gamma, instantiate(presentation.template, point))
+    x, y = ctx.names[:2]
+    binomial = Poly.monomial({y: ks[1]}) - Poly.monomial({x: ks[0]})
+    reduced = ctx.reduce(ctx.phi(binomial), (0, 1)).reduced
+    order = reduced.order()
+    lead = Fraction(0)
+    if order == vs[2]:
+        lead = reduced.coefficient(order).constant_value()
+    plane = is_plane_semigroup(gamma).is_plane and order == vs[2]
+    return plane, order, lead
+
+
+class TestPlaneStratumReference:
+    def check(self, gamma, point, presentation):
+        report = plane_test_3gen(gamma, point, presentation)
+        plane, order, lead = series_plane_test(gamma, point, presentation)
+        assert (report.is_plane_point, report.reduced_order) == (plane, order)
+        assert report.leading_coefficient == lead
+        assert type(report.leading_coefficient) is type(lead)
+
+    def test_4_6_13_grid(self, g4613, pres4613):
+        result = eliminate_linear(pres4613)
+        for a5 in (-2, -1, 0, 1, 2):
+            for b7 in (0, 1, 2, 3):
+                point = grid_point(pres4613, result, a5, b7)
+                self.check(g4613, point, pres4613)
+
+    @pytest.mark.parametrize(
+        "generators", PLANE_TRIPLES, ids=lambda generators: ",".join(map(str, generators))
+    )
+    def test_random_variety_points(self, generators):
+        gamma = from_generators(generators)
+        presentation = defining_equations(gamma)
+        result = eliminate_linear(presentation)
+        rng = random.Random(sum(generators))
+        for _ in range(15):
+            values = on_variety_values(rng, presentation, result)
+            self.check(gamma, presentation.template.point(values), presentation)
+            values[rng.choice(result.solved).name] += rng.randint(1, 5)
+            with pytest.raises(NotInVariety):
+                plane_test_3gen(gamma, presentation.template.point(values), presentation)
+
+
+class TestPlaneStratum:
     def test_plane_and_nonplane_points(self, g4613, pres4613):
         result = eliminate_linear(pres4613)
-        plane = plane_test_3gen(g4613, self.grid_point(pres4613, result, 0, 1), pres4613)
+        plane = plane_test_3gen(g4613, grid_point(pres4613, result, 0, 1), pres4613)
         assert plane.is_plane_point
         assert plane.reduced_order == 13
         assert plane.leading_coefficient == 2
         assert plane.criterion_is_plane
 
         degenerate = plane_test_3gen(
-            g4613, self.grid_point(pres4613, result, 2, 3), pres4613
+            g4613, grid_point(pres4613, result, 2, 3), pres4613
         )
         assert not degenerate.is_plane_point
         assert degenerate.reduced_order != 13
@@ -256,7 +376,7 @@ class TestPlaneStratum:
         result = eliminate_linear(pres4613)
         for a5 in (-2, -1, 0, 1, 2):
             for b7 in (0, 1, 2, 3):
-                point = self.grid_point(pres4613, result, a5, b7)
+                point = grid_point(pres4613, result, a5, b7)
                 report = plane_test_3gen(g4613, point, pres4613)
                 assert report.is_plane_point == (2 * b7 - 3 * a5 != 0)
 
@@ -283,7 +403,7 @@ class TestPlaneStratum:
     def test_json_shape(self, g4613, pres4613):
         result = eliminate_linear(pres4613)
         payload = plane_test_3gen(
-            g4613, self.grid_point(pres4613, result, 0, 1), pres4613
+            g4613, grid_point(pres4613, result, 0, 1), pres4613
         ).to_json_dict()
         assert payload == {
             "is_plane_point": True,
