@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .deceptive import enumerate_sdec_below_conductor, generator_variable_names
-from .errors import DomainError
+from .errors import DomainError, WrongGeneratorCount
 from .normalform import CoefficientPoint, NormalFormTemplate, build_template, instantiate
 from .oracle import canonical_normal_form, subalgebra_closure_semigroup, verify_point
 from .reduction import ReductionContext
@@ -306,8 +306,13 @@ def cmd_plane(args) -> tuple[int, dict, list[str]]:
     code = 0 if criterion.is_plane else 1
 
     if args.point is not None:
-        point = build_template(gamma).point(parse_point(args.point), fill_missing=True)
-        report = plane_test_3gen(gamma, point)
+        if len(gamma.generators) != 3:  # fail before building the presentation
+            raise WrongGeneratorCount(
+                f"the plane stratum test needs 3 generators, got {len(gamma.generators)}"
+            )
+        presentation = defining_equations(gamma)
+        point = presentation.template.point(parse_point(args.point), fill_missing=True)
+        report = plane_test_3gen(gamma, point, presentation)
         payload["point_test"] = report.to_json_dict()
         if report.is_plane_point:
             lines.append(

@@ -6,9 +6,11 @@ change of coordinate, a unique generating tuple
     x_i(t) = t^{v_i} + sum over gaps delta > v_i of  coeff * t^delta,
 
 taken mod t^c (conductor c); generators with v_i >= c collapse to the zero
-series.  The template keeps those coefficients symbolic, one variable per
+series.  The template is the table of those coefficients, one variable per
 (generator, gap) slot, so the tuple of template generators is a point of an
-affine space of dimension ambient_dimension(Gamma).
+affine space of dimension ambient_dimension(Gamma).  The symbolic
+generators are needed only to derive the equations and are built on first
+use; work at an explicit point reads the slots' values (``slot_values``).
 
 Variable naming: the canonical machine name for slot (i, delta) is
 ``g{i}d{delta}``; when there are at most 26 generators the display alias is
@@ -18,11 +20,12 @@ is also what rendering and JSON use.  Both spellings are accepted on input.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import ModulusMismatch, UnboundVariable, UnknownVariable
 from .semigroup import NumericalSemigroup
@@ -46,10 +49,7 @@ class CoefficientPoint:
         return dict(self.values)
 
     def __getitem__(self, name: str) -> Fraction:
-        for key, value in self.values:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return self.as_dict()[name]
 
     def __str__(self) -> str:
         if not self.values:
@@ -58,51 +58,63 @@ class CoefficientPoint:
 
 
 class NormalFormTemplate:
-    """Symbolic normal-form generators for one semigroup."""
+    """The normal-form slots (i, delta) of one semigroup: one ordered map to
+    display names, one map from either spelling back to the slot."""
 
     def __init__(self, gamma: NumericalSemigroup):
         self.semigroup = gamma
         self.modulus = template_modulus(gamma)
 
         use_letters = len(gamma.generators) <= len(string.ascii_lowercase)
-        self._slots: list[tuple[int, int]] = []
-        self._display: dict[tuple[int, int], str] = {}
-        self._resolve: dict[str, str] = {}
-        self._canonical: dict[str, str] = {}
-        generators: list[Series] = []
+        self._names: dict[tuple[int, int], str] = {}
+        self._slot_of: dict[str, tuple[int, int]] = {}
         for i, v in enumerate(gamma.generators):
-            if v >= self.modulus:
-                generators.append(Series.zero(self.modulus))
-                continue
-            coeffs: dict[int, Poly] = {v: Poly.const(1)}
             for delta in gamma.gaps_above(v):
                 canonical = f"g{i}d{delta}"
                 name = f"{string.ascii_lowercase[i]}{delta}" if use_letters else canonical
-                self._slots.append((i, delta))
-                self._display[(i, delta)] = name
-                self._resolve[name] = name
-                self._resolve[canonical] = name
-                self._canonical[name] = canonical
-                coeffs[delta] = Poly.variable(name)
-            generators.append(Series(self.modulus, coeffs))
-        self.generators: tuple[Series, ...] = tuple(generators)
-        self.variables: tuple[str, ...] = tuple(self._display[s] for s in self._slots)
+                self._names[(i, delta)] = name
+                self._slot_of[name] = self._slot_of[canonical] = (i, delta)
+        self.variables: tuple[str, ...] = tuple(self._names.values())
+
+    @functools.cached_property
+    def generators(self) -> tuple[Series, ...]:
+        """The symbolic generators x_i(t), built on first read."""
+        coeffs = [{v: Poly.const(1)} for v in self.semigroup.generators]
+        for (i, delta), name in self._names.items():
+            coeffs[i][delta] = Poly.variable(name)
+        return tuple(Series(self.modulus, c) for c in coeffs)
+
+    def _slot(self, name: str) -> tuple[int, int]:
+        try:
+            return self._slot_of[name]
+        except KeyError:
+            raise UnknownVariable(f"unknown template variable {name!r}")
 
     def variable_name(self, i: int, delta: int) -> str:
         try:
-            return self._display[(i, delta)]
+            return self._names[(i, delta)]
         except KeyError:
             raise UnknownVariable(f"no template slot for generator {i}, gap {delta}")
 
     def canonical_name(self, name: str) -> str:
         """g{i}d{delta} spelling of a variable given in either spelling."""
-        return self._canonical[self.resolve(name)]
+        i, delta = self._slot(name)
+        return f"g{i}d{delta}"
 
     def resolve(self, name: str) -> str:
-        try:
-            return self._resolve[name]
-        except KeyError:
-            raise UnknownVariable(f"unknown template variable {name!r}")
+        return self._names[self._slot(name)]
+
+    def slot_values(self, point: CoefficientPoint) -> dict[tuple[int, int], Scalar]:
+        """Each slot's value at the point, in slot order, as an int or a
+        Fraction; a variable the point leaves out raises UnboundVariable."""
+        values = point.as_dict()
+        slots = {}
+        for slot, name in self._names.items():
+            if name not in values:
+                raise UnboundVariable(f"no value for template variable {name!r}")
+            q = values[name]
+            slots[slot] = q if isinstance(q, (int, Fraction)) else Fraction(q)
+        return slots
 
     def point(
         self,
@@ -135,14 +147,9 @@ class NormalFormTemplate:
         return CoefficientPoint(tuple((name, Fraction(0)) for name in self.variables))
 
     def to_json_dict(self) -> dict:
-        gens = []
-        for i, v in enumerate(self.semigroup.generators):
-            terms = [
-                {"exp": delta, "var": self._display[(j, delta)]}
-                for (j, delta) in self._slots
-                if j == i
-            ]
-            gens.append({"lead": v, "terms": terms})
+        gens = [{"lead": v, "terms": []} for v in self.semigroup.generators]
+        for (i, delta), name in self._names.items():
+            gens[i]["terms"].append({"exp": delta, "var": name})
         return {"generators": gens, "variables": list(self.variables)}
 
 
@@ -154,12 +161,9 @@ def instantiate(
     template: NormalFormTemplate, point: CoefficientPoint
 ) -> tuple[Series, ...]:
     """Numeric normal-form generators at a coefficient point."""
-    values = point.as_dict()
     coeffs = [{v: Poly.const(1)} for v in template.semigroup.generators]
-    for (i, delta), name in template._display.items():
-        if name not in values:
-            raise UnboundVariable(f"no value for template variable {name!r}")
-        coeffs[i][delta] = Poly.const(values[name])
+    for (i, delta), q in template.slot_values(point).items():
+        coeffs[i][delta] = Poly.const(q)
     return tuple(Series(template.modulus, c) for c in coeffs)
 
 
@@ -176,13 +180,7 @@ def integer_generators(
     weighted homogeneity, a coefficient of weight w computed from these
     lists is D^w times its value at the point.
     """
-    values = point.as_dict()
-    slots = {}
-    for slot, name in template._display.items():
-        if name not in values:
-            raise UnboundVariable(f"no value for template variable {name!r}")
-        q = values[name]
-        slots[slot] = q if isinstance(q, (int, Fraction)) else Fraction(q)
+    slots = template.slot_values(point)
     scale = math.lcm(*(q.denominator for q in slots.values()))
     vs = template.semigroup.generators
     rows = tuple([0] * template.modulus for _ in vs)
@@ -204,12 +202,8 @@ def is_normal_form(
         raise ValueError(
             f"expected {len(gamma.generators)} series, got {len(series_list)}"
         )
-    modulus: Optional[int] = None
-    for s in series_list:
-        if modulus is None:
-            modulus = s.modulus
-        elif s.modulus != modulus:
-            raise ModulusMismatch("normal-form series must share one modulus")
+    if len({s.modulus for s in series_list}) > 1:
+        raise ModulusMismatch("normal-form series must share one modulus")
 
     for v, s in zip(gamma.generators, series_list):
         if v >= s.modulus:

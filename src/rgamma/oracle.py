@@ -13,15 +13,16 @@ over Q answers everything:
 
 This is the oracle the symbolic pipeline is tested against: a template
 point lies in the variety precisely when the closure semigroup of its
-instantiated generators adds no new elements.
+normal-form generators adds no new elements.
 
 Everything runs on integer rows: each generator is scaled once by the lcm
 of its denominators, products are truncated integer convolutions
 (symcore.truncated_product, the one helper shared with the point path) and
 elimination divides each new row by its content.  What stays independent
 of the path under test: the oracle never touches the reduction, the
-defining equations or normalform.integer_generators; it starts from
-``instantiate`` and knows only products and linear algebra.
+defining equations or normalform.integer_generators; at a point it reads
+the template's slot values straight into its own integer rows, and knows
+only products and linear algebra.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import ModulusMismatch, OrderZeroGenerator
-from .normalform import CoefficientPoint, build_template, instantiate
+from .normalform import CoefficientPoint, build_template
 from .semigroup import NumericalSemigroup
-from .symcore import Poly, Series, truncated_product
+from .symcore import Poly, Scalar, Series, truncated_product
 
 
 @dataclass(frozen=True)
@@ -48,20 +49,21 @@ class RowEchelonBasis:
     pivot_orders: tuple[int, ...]
 
 
-def _to_vector(s: Series) -> list[int]:
-    # the coefficients times the lcm of their denominators: an integer row
-    # spanning the same line
-    values = {}
-    for exp, poly in s.items():
-        value = poly.constant_value()
-        if value is None:
-            raise ValueError("the oracle needs numeric series (constant coefficients)")
-        values[exp] = value
+def _scaled_row(values: Mapping[int, Scalar], modulus: int) -> list[int]:
+    # the coefficients {power: value} times the lcm of their denominators:
+    # an integer row spanning the same line
     scale = math.lcm(*(q.denominator for q in values.values()))
-    vec = [0] * s.modulus
+    vec = [0] * modulus
     for exp, q in values.items():
         vec[exp] = q.numerator * (scale // q.denominator)
     return vec
+
+
+def _to_vector(s: Series) -> list[int]:
+    values = {exp: poly.constant_value() for exp, poly in s.items()}
+    if None in values.values():
+        raise ValueError("the oracle needs numeric series (constant coefficients)")
+    return _scaled_row(values, s.modulus)
 
 
 def _echelon(rows: list[list[int]], reduced: bool = True) -> list[int]:
@@ -118,9 +120,8 @@ def echelon_basis(series_list: Sequence[Series]) -> RowEchelonBasis:
     if not series_list:
         raise OrderZeroGenerator("nothing to span")
     modulus = series_list[0].modulus
-    for s in series_list[1:]:
-        if s.modulus != modulus:
-            raise ModulusMismatch("series must share one modulus")
+    if any(s.modulus != modulus for s in series_list):
+        raise ModulusMismatch("series must share one modulus")
     rows = [_to_vector(s) for s in series_list]
     return _monic_basis(rows, _echelon(rows))
 
@@ -131,9 +132,8 @@ def _spanning_rows(generators: Sequence[Series]) -> list[list[int]]:
     if not generators:
         raise OrderZeroGenerator("subalgebra generators required, got an empty list")
     modulus = generators[0].modulus
-    for s in generators[1:]:
-        if s.modulus != modulus:
-            raise ModulusMismatch("generator series must share one modulus")
+    if any(s.modulus != modulus for s in generators):
+        raise ModulusMismatch("generator series must share one modulus")
 
     ordered = []
     for s in generators:
@@ -144,9 +144,14 @@ def _spanning_rows(generators: Sequence[Series]) -> list[list[int]]:
             )
         if order is not None:
             ordered.append((order, _to_vector(s)))
-    ordered.sort(key=lambda pair: pair[0])
+    return _products(ordered, modulus)
 
-    # an explicit stack of (first allowed factor, product, order)
+
+def _products(ordered: Sequence[tuple[int, list[int]]], modulus: int) -> list[list[int]]:
+    # 1 and every product of the (order, row) factors with order sum below
+    # the modulus, through an explicit stack of (first allowed factor,
+    # product, order)
+    ordered = sorted(ordered, key=lambda pair: pair[0])
     one = [1] + [0] * (modulus - 1)
     spanning = [one]
     stack = [(0, one, 0)]
@@ -185,18 +190,10 @@ def canonical_normal_form(
     modulus = basis.modulus
     positive = {p for p in basis.pivot_orders if p > 0}
 
-    def member(n: int) -> bool:
-        return n in positive or n >= modulus
-
     least = min(positive) if positive else modulus
-    minimal: list[int] = []
-    for n in range(1, modulus + least):
-        if member(n) and not any(
-            member(a) and member(n - a) for a in range(least, n - least + 1)
-        ):
-            minimal.append(n)
-
-    detected = NumericalSemigroup.from_generators(minimal)
+    detected = NumericalSemigroup.from_generators(
+        sorted(positive) + list(range(modulus, modulus + least))
+    )
     by_pivot = {row.order(): row for row in basis.rows}
     normal = tuple(
         by_pivot[v] if v < modulus else Series.zero(modulus)
@@ -206,12 +203,14 @@ def canonical_normal_form(
 
 
 def verify_point(gamma: NumericalSemigroup, point: CoefficientPoint) -> bool:
-    """Does instantiating the template at this point really produce an
-    algebra with semigroup Gamma (no unexpected orders below c)?"""
+    """Does the algebra of the normal-form generators at this point really
+    have semigroup Gamma (no unexpected orders below c)?"""
     template = build_template(gamma)
-    generators = instantiate(template, point)
-    nonzero = [s for s in generators if not s.is_zero]
-    if not nonzero:
-        return not gamma.elements_below_conductor
-    closure = subalgebra_closure_semigroup(nonzero)
+    modulus = template.modulus
+    coeffs = {i: {v: 1} for i, v in enumerate(gamma.generators) if v < modulus}
+    for (i, delta), q in template.slot_values(point).items():
+        coeffs[i][delta] = q
+    ordered = [(gamma.generators[i], _scaled_row(c, modulus)) for i, c in coeffs.items()]
+    pivots = _echelon(_products(ordered, modulus), reduced=False)
+    closure = frozenset(p for p in pivots if p > 0)
     return closure == frozenset(gamma.elements_below_conductor)

@@ -13,13 +13,15 @@ Two immutable value types carry all symbolic computation in this package:
 * :class:`Series`, an element of Q[vars][t] / (t^modulus): a polynomial in
   ``t`` truncated at a fixed power, whose coefficients are ``Poly`` values.
   Numeric series are the special case where every coefficient is a
-  constant polynomial: ``instantiate`` returns them, and ``rgamma reduce``
-  and the oracle's public functions take them.
+  constant polynomial: ``instantiate`` builds them for ``rgamma reduce``,
+  and the oracle's Series functions (``echelon_basis``,
+  ``subalgebra_closure_semigroup``, ``canonical_normal_form``) take them.
 
-The work at an explicit point (membership, the plane test, and the
-oracle's products and elimination) does not use Series: it runs on integer
-coefficient lists of length ``modulus``, indexed by the power of ``t``,
-and ``truncated_product`` is its one product.
+The work at an explicit point (membership, the plane test and
+``verify_point``) builds neither a Series nor a Poly: it reads the
+template's slot values into integer coefficient lists of length
+``modulus``, indexed by the power of ``t``, and ``truncated_product`` is
+its one product.
 
 Every sum of term dicts goes through ``_accumulate`` and every product
 through ``_mul_into``; these two are the only loops that merge terms, and
@@ -493,9 +495,6 @@ class Series:
         if not self._coeffs:
             return None
         return min(self._coeffs)
-
-    def is_numeric(self) -> bool:
-        return all(p.is_constant for p in self._coeffs.values())
 
     # -- arithmetic ---------------------------------------------------
 

@@ -79,6 +79,22 @@ def naive_closure(generators):
     return naive_rref(rows, modulus)
 
 
+def naive_minimal_generators(positive, modulus):
+    """The minimal generators of the semigroup made of the given positive
+    orders and everything from the modulus on, by exhaustive search."""
+
+    def member(n):
+        return n in positive or n >= modulus
+
+    least = min(positive) if positive else modulus
+    return [
+        n
+        for n in range(1, modulus + least)
+        if member(n)
+        and not any(member(a) and member(n - a) for a in range(least, n - least + 1))
+    ]
+
+
 def row_series(modulus, row):
     return Series(modulus, {e: Poly.const(q) for e, q in enumerate(row) if q})
 
@@ -267,6 +283,13 @@ class TestClosure:
 
 
 class TestCanonicalNormalForm:
+    @given(numeric_generators())
+    def test_detected_generators_are_minimal(self, generators):
+        modulus = generators[0].modulus
+        positive = subalgebra_closure_semigroup(generators)
+        detected, _ = canonical_normal_form(generators)
+        assert list(detected.generators) == naive_minimal_generators(positive, modulus)
+
     def test_strips_semigroup_tail(self):
         # t^3 + t^4 + t^5 over <3,5>: the t^5 term lies in the algebra
         s0 = series_from_exponents(8, 3, 4, 5)

@@ -16,6 +16,7 @@ from rgamma import (
     ReductionContext,
     UnboundVariable,
     WrongGeneratorCount,
+    build_template,
     defining_equations,
     eliminate_linear,
     from_generators,
@@ -25,7 +26,9 @@ from rgamma import (
     membership,
     plane_test_3gen,
     predicted_dim_single_binomial,
+    verify_point,
 )
+from rgamma.normalform import integer_generators
 from rgamma.symcore import Poly
 
 # the 25 semigroups criterion 7 of the acceptance suite draws (seed 40)
@@ -411,3 +414,31 @@ class TestPlaneStratum:
             "leading_coefficient": "2",
             "criterion_is_plane": True,
         }
+
+
+def test_point_path_builds_no_poly(monkeypatch, g4613, pres4613):
+    """Work at an explicit point reads the template's slot values into
+    integer rows; with Poly construction disabled it still gives every
+    verdict, also on <13,17,19,23>, whose symbolic equations do not fit in
+    memory."""
+
+    def no_poly(*args):
+        raise AssertionError("a Poly was built at a point")
+
+    monkeypatch.setattr(Poly, "__init__", no_poly)
+    monkeypatch.setattr(Poly, "_make", classmethod(no_poly))
+    template = build_template(g4613)
+    on = template.point({"b7": 1, "b9": Fraction(1, 2)}, fill_missing=True)
+    off = template.point({"b7": 1}, fill_missing=True)
+    assert integer_generators(template, on)[0] == 2
+    assert verify_point(g4613, on)
+    assert not verify_point(g4613, off)
+    assert membership(g4613, on, pres4613).in_variety
+    assert not membership(g4613, off, pres4613).in_variety
+    assert plane_test_3gen(g4613, on, pres4613).is_plane_point
+    assert "generators" not in vars(template)
+
+    gamma = from_generators([13, 17, 19, 23])
+    big = build_template(gamma)
+    assert len(big.variables) == 74
+    assert verify_point(gamma, big.zero_point())
