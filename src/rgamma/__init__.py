@@ -11,12 +11,14 @@ from .errors import (
     ArityMismatch,
     DomainError,
     EmptyInput,
+    InvalidIndices,
     ModulusMismatch,
     NonCoprimeGenerators,
     NotInVariety,
     NotNormalForm,
     NotRepresentable,
     OrderZeroGenerator,
+    PresentationMismatch,
     UnboundVariable,
     UnknownVariable,
     WrongGeneratorCount,
@@ -82,6 +84,7 @@ __all__ = [
     "EliminationResult",
     "EmptyInput",
     "Equation",
+    "InvalidIndices",
     "GenMonomial",
     "MembershipReport",
     "ModulusMismatch",
@@ -95,6 +98,7 @@ __all__ = [
     "PlaneCriterionReport",
     "PlaneStratumReport",
     "Poly",
+    "PresentationMismatch",
     "ReductionContext",
     "ReductionStep",
     "ReductionTrace",

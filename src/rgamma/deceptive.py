@@ -16,7 +16,7 @@ exponent vectors, never the names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Optional, Sequence
 
 from .errors import UnknownVariable, WrongGeneratorCount, ZeroPolynomial
@@ -191,8 +191,8 @@ class ThreeGenIdecGenerators:
 
         f1 = x^k0 - y^m0 z^m1,  f2 = y^k1 - x^n0 z^n1,  f3 = z^k2 - x^p0 y^p1
 
-    with each k minimal and cofactors tie-broken by minimizing the last
-    coordinate, then the middle.  Degrees may lie at or past the conductor.
+    with each k minimal and each cofactor revlex-minimal (smallest last
+    coordinate, then middle).  Degrees may lie at or past the conductor.
     """
 
     binomials: tuple[DeceptiveBinomial, DeceptiveBinomial, DeceptiveBinomial]
@@ -200,6 +200,9 @@ class ThreeGenIdecGenerators:
 
 
 def idec_generators_3gen(gamma: NumericalSemigroup) -> ThreeGenIdecGenerators:
+    """k_a is the least k >= 1 with an entry for k * v_a in the cached
+    factorization table over the other generators v_b < v_c; that entry is
+    the cofactor.  k = v_b always has one, so the table runs to v_a * v_b."""
     vs = gamma.generators
     if len(vs) != 3:
         raise WrongGeneratorCount(
@@ -208,30 +211,15 @@ def idec_generators_3gen(gamma: NumericalSemigroup) -> ThreeGenIdecGenerators:
 
     binomials = []
     ks = []
-    for axis in range(3):
-        others = [i for i in range(3) if i != axis]
-        va, (vb, vc) = vs[axis], (vs[others[0]], vs[others[1]])
-        found = None
-        k = 1
-        while found is None:
-            target = k * va
-            # Scan the last cofactor upward so ties pick the smallest last,
-            # then smallest middle coordinate (the remainder fixes the other).
-            for last in range(target // vc + 1):
-                rem = target - last * vc
-                if rem % vb == 0:
-                    found = (rem // vb, last)
-                    break
-            if found is None:
-                k += 1
-        lhs = [0, 0, 0]
-        lhs[axis] = k
-        rhs = [0, 0, 0]
-        rhs[others[0]], rhs[others[1]] = found
+    for axis, va in enumerate(vs):
+        others = tuple(i for i in range(3) if i != axis)
+        table = gamma.factorization_table(others, va * vs[others[0]] + 1)
+        k = next(k for k in count(1) if table[k * va] is not None)
+        lhs = tuple(k if i == axis else 0 for i in range(3))
         binomials.append(
             DeceptiveBinomial(
                 GenMonomial.from_exponents(gamma, lhs),
-                GenMonomial.from_exponents(gamma, rhs),
+                GenMonomial.from_exponents(gamma, table[k * va]),
                 k * va,
             )
         )

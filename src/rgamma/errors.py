@@ -22,12 +22,20 @@ class NotRepresentable(DomainError):
     """No factorization of the requested integer over the given generators."""
 
 
+class InvalidIndices(DomainError, ValueError):
+    """A generator index subset was empty or indexed past the generators."""
+
+
 class UnboundVariable(DomainError):
     """A polynomial was evaluated at a point missing one of its variables."""
 
 
 class UnknownVariable(DomainError):
     """A coefficient assignment names a variable the template does not have."""
+
+
+class PresentationMismatch(DomainError):
+    """A variety presentation was passed along with a different semigroup."""
 
 
 class ModulusMismatch(DomainError):

@@ -2,12 +2,13 @@
 
 Given normal-form generators x_0(t), ..., x_g(t) of a subalgebra with
 semigroup Gamma (conductor c), any series r mod t^c can be stripped of its
-semigroup-supported part: walk the elements n of Gamma in (0, c) in
-increasing order and, whenever t^n carries a nonzero coefficient q, subtract
-q times the monomial series x^{e} built from the reverse-lexicographically
-minimal factorization e of n.  Each subtraction clears t^n exactly (the
-monomial series is monic of order n) and only disturbs higher powers, so
-the result -- the reduction of r -- is supported on the gaps of Gamma.
+semigroup-supported part: walk Gamma's factorization table for n in (0, c)
+in increasing order and, whenever t^n carries a nonzero coefficient q and
+the table holds n's reverse-lexicographically minimal factorization e,
+subtract q times the monomial series x^{e}.  Each subtraction clears t^n
+exactly (the monomial series is monic of order n) and only disturbs higher
+powers, so the result -- the reduction of r -- is supported on the gaps of
+Gamma.
 
 On Series, the substitution phi: x_i -> x_i(t) has one implementation,
 Substitution; ReductionContext extends it with the semigroup and the
@@ -19,8 +20,8 @@ ReductionContext keeps Poly coefficients throughout, so one code path
 serves the symbolic template generators and the numeric series that
 ``rgamma reduce`` takes.
 
-Reducing with generator indices restricts the removable powers to sums of
-that subset of the generators, which is what the plane stratum test needs.
+Reducing with generator indices walks the table of that subset instead, so
+only its sums are removed, which is what the plane stratum test needs.
 
 Reduction commutes with specialising the coefficients, so at an explicit
 point IntegerReduction runs the same walk on integer coefficient lists
@@ -186,13 +187,6 @@ class ReductionContext(Substitution):
         # an empty names sequence selects the default names
         super().__init__(generators, names or None)
         self.gamma = gamma
-        self._subset_elements: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def _removable(self, indices: Optional[Sequence[int]]) -> tuple[int, ...]:
-        key = self.gamma._validate_indices(indices)
-        if key not in self._subset_elements:
-            self._subset_elements[key] = self.gamma.subset_elements(key)
-        return self._subset_elements[key]
 
     def reduce(
         self, r: Series, indices: Optional[Sequence[int]] = None
@@ -203,11 +197,12 @@ class ReductionContext(Substitution):
             )
         current = MutableSeries(r)
         steps: list[ReductionStep] = []
-        for n in self._removable(indices):
+        for n, vec in enumerate(self.gamma.factorization_table(indices)):
+            if not n or vec is None:
+                continue
             q = current.pop(n)
             if q.is_zero:
                 continue
-            vec = self.gamma.revlex_min_factorization(n, indices)
             # x^vec is monic of order n: subtracting q * x^vec clears t^n,
             # whose coefficient was popped, and changes only higher powers
             current.add_product(self.monomial_series(vec), -q, n + 1)
@@ -244,10 +239,10 @@ class IntegerReduction:
 
     def reduce(self, r: list[int], indices: Optional[Sequence[int]] = None) -> list[int]:
         """Reduce r in place (over the indexed generators) and return it."""
-        for n in self.gamma.subset_elements(indices):
+        for n, vec in enumerate(self.gamma.factorization_table(indices)):
             q = r[n]
-            if q:
-                m = self.monomial(self.gamma.revlex_min_factorization(n, indices))
+            if q and n and vec is not None:
+                m = self.monomial(vec)
                 r[n:] = [x - q * y for x, y in zip(r[n:], m[n:])]
         return r
 
@@ -269,7 +264,6 @@ def reduce_subset(
 ) -> ReductionTrace:
     """Reduction that only removes powers representable over the selected
     generator indices."""
-    subset = tuple(sorted(set(indices)))
-    if not subset:
+    if not indices:
         raise EmptyInput("the generator index subset must be non-empty")
-    return ReductionContext(gamma, generators).reduce(r, subset)
+    return ReductionContext(gamma, generators).reduce(r, indices)

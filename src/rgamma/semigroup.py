@@ -9,6 +9,10 @@ positive elements below c.
 Membership is decided by a sieve up to v_0 * v_g, which exceeds the
 Frobenius number of any coprime generating set (Schur's bound gives
 F <= (v_0 - 1)(v_g - 1) - 1).
+
+Factorizations come from one table per generator subset and bound,
+factorization_table, cached on the semigroup: subset membership, both
+reduction walks and the three-generator relation ideal read it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyInput, NonCoprimeGenerators, NotRepresentable
+from .errors import EmptyInput, InvalidIndices, NonCoprimeGenerators, NotRepresentable
 
 
 @dataclass(frozen=True)
@@ -122,89 +126,61 @@ class NumericalSemigroup:
 
     # -- factorizations -------------------------------------------------
 
-    def _validate_indices(self, indices: Optional[Sequence[int]]) -> tuple[int, ...]:
-        if indices is None:
-            return tuple(range(len(self.generators)))
-        subset = tuple(sorted(set(indices)))
-        if not subset:
-            raise ValueError("generator index subset must be non-empty")
-        if subset[0] < 0 or subset[-1] >= len(self.generators):
-            raise ValueError(f"generator indices out of range: {indices}")
-        return subset
-
     @cached_property
-    def _reach(self) -> dict[tuple[int, ...], list[bytearray]]:
+    def _tables(self) -> dict[tuple[tuple[int, ...], int], list]:
         return {}
 
-    def _prefix_reach(self, subset: tuple[int, ...]) -> list[bytearray]:
-        """reach[j][m]: m is a sum of the first j+1 selected generators, for
-        m below the conductor; cached per subset."""
-        if subset in self._reach:
-            return self._reach[subset]
-        limit = max(self.conductor - 1, 0)
-        sel = [self.generators[i] for i in subset]
-        reach: list[bytearray] = []
-        for j, v in enumerate(sel):
-            row = bytearray(limit + 1)
-            prev = reach[j - 1] if j else None
-            row[0] = 1
-            for m in range(1, limit + 1):
-                if prev is not None and prev[m]:
-                    row[m] = 1
-                elif v <= m and row[m - v]:
-                    row[m] = 1
-            reach.append(row)
-        self._reach[subset] = reach
-        return reach
+    def factorization_table(
+        self, indices: Optional[Sequence[int]] = None, bound: Optional[int] = None
+    ) -> list[Optional[tuple[int, ...]]]:
+        """table[m], for 0 <= m < bound (default: the conductor), is the
+        factorization (i_0, ..., i_g), sum i_j * v_j = m, over the selected
+        generators that is minimal in reverse-lexicographic order (at the
+        largest index where two differ, the smaller entry wins), or None.
+
+        One pass per selected generator v_i, in index order: m keeps the
+        factorization it has over the earlier ones (exponent 0 at i is
+        least); otherwise it takes m - v_i's with one more v_i."""
+        g = len(self.generators)
+        subset = tuple(range(g)) if indices is None else tuple(sorted(set(indices)))
+        if not subset or subset[0] < 0 or subset[-1] >= g:
+            raise InvalidIndices(f"need a non-empty subset of 0..{g - 1}, got {indices}")
+        limit = self.conductor if bound is None else bound
+        table = self._tables.get((subset, limit))
+        if table is None:
+            table = [None] * max(limit, 1)
+            table[0] = (0,) * g
+            for i in subset:
+                v = self.generators[i]
+                for m in range(v, len(table)):
+                    e = table[m - v]
+                    if table[m] is None and e is not None:
+                        table[m] = e[:i] + (e[i] + 1,) + e[i + 1:]
+            self._tables[subset, limit] = table
+        return table
 
     def subset_elements(self, indices: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Positive integers below the conductor representable over a subset
         of the generators (the whole semigroup's elements by default)."""
-        subset = self._validate_indices(indices)
-        if len(subset) == len(self.generators):
-            return self.elements_below_conductor
-        if self.conductor <= 1:
-            return ()
-        reach = self._prefix_reach(subset)[-1]
-        return tuple(n for n in range(1, self.conductor) if reach[n])
+        table = self.factorization_table(indices)
+        return tuple(n for n in range(1, len(table)) if table[n] is not None)
 
     def revlex_min_factorization(
         self, n: int, indices: Optional[Sequence[int]] = None
     ) -> tuple[int, ...]:
-        """The factorization of n over the (selected) generators that is
-        minimal in reverse-lexicographic order.
-
-        Factorizations are exponent tuples (i_0, ..., i_g) with
-        sum i_j * v_j = n; the minimal one is found by greedily taking the
-        smallest feasible exponent at the highest index first (at the largest
-        index where two factorizations differ, the smaller entry wins).
-        Only 0 < n < conductor is allowed.
-        """
-        subset = self._validate_indices(indices)
+        """The revlex-minimal factorization of n over the (selected)
+        generators, read from factorization_table.  Only
+        0 < n < conductor is allowed."""
+        table = self.factorization_table(indices)
         if not 0 < n < self.conductor:
             raise NotRepresentable(
                 f"{n} is not strictly between 0 and the conductor {self.conductor}"
             )
-        reach = self._prefix_reach(subset)
-        if not reach[-1][n]:
-            sel = [self.generators[i] for i in subset]
+        if table[n] is None:
+            chosen = range(len(self.generators)) if indices is None else indices
+            sel = sorted({self.generators[i] for i in chosen})
             raise NotRepresentable(f"{n} is not a sum of the generators {sel}")
-
-        sel = [self.generators[i] for i in subset]
-        exponents = [0] * len(sel)
-        m = n
-        for j in range(len(sel) - 1, 0, -1):
-            k = 0
-            while not reach[j - 1][m - k * sel[j]]:
-                k += 1
-            exponents[j] = k
-            m -= k * sel[j]
-        exponents[0] = m // sel[0]
-
-        full = [0] * len(self.generators)
-        for j, i in enumerate(subset):
-            full[i] = exponents[j]
-        return tuple(full)
+        return table[n]
 
 
 def from_generators(raw: Iterable[int]) -> NumericalSemigroup:

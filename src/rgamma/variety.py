@@ -34,7 +34,7 @@ from .deceptive import (
     generator_variable_names,
     idec_generators_3gen,
 )
-from .errors import NotInVariety, WrongGeneratorCount
+from .errors import NotInVariety, PresentationMismatch, WrongGeneratorCount
 from .normalform import (
     CoefficientPoint,
     NormalFormTemplate,
@@ -244,14 +244,23 @@ class MembershipReport:
 
 
 def _point_reduction(
-    template: NormalFormTemplate,
+    gamma: NumericalSemigroup,
+    presentation: Optional[VarietyPresentation],
     point: Union[CoefficientPoint, Mapping[str, Scalar]],
-) -> tuple[int, IntegerReduction]:
-    # the integer generators at the point and their scale D
+) -> tuple[VarietyPresentation, int, IntegerReduction]:
+    # gamma's presentation, built unless given, and the integer generators
+    # at the point with their scale D
+    if presentation is None:
+        presentation = defining_equations(gamma)
+    elif presentation.semigroup != gamma:
+        raise PresentationMismatch(
+            f"the presentation is of {presentation.semigroup}, not {gamma}"
+        )
+    template = presentation.template
     if not isinstance(point, CoefficientPoint):
         point = template.point(point)
     scale, rows = integer_generators(template, point)
-    return scale, IntegerReduction(template.semigroup, rows)
+    return presentation, scale, IntegerReduction(template.semigroup, rows)
 
 
 def _unscaled(value: int, scale: int, weight: int) -> Scalar:
@@ -288,9 +297,7 @@ def membership(
     its polynomial gives, since reduction commutes with specialising the
     coefficients.
     """
-    if presentation is None:
-        presentation = defining_equations(gamma)
-    return _membership(presentation, *_point_reduction(presentation.template, point))
+    return _membership(*_point_reduction(gamma, presentation, point))
 
 
 @dataclass(frozen=True)
@@ -321,16 +328,14 @@ def plane_test_3gen(
     phi(y^k1 - x^k0): the point is plane exactly when the semigroup passes
     the plane criterion and the reduced series has order v_2 (its leading
     coefficient is then the value the stratum inequality must keep nonzero).
-    The point must lie in the variety.
+    The point must lie in the variety, and a given presentation be gamma's.
     """
     vs = gamma.generators
     if len(vs) != 3:
         raise WrongGeneratorCount(
             f"the plane stratum test needs 3 generators, got {len(vs)}"
         )
-    if presentation is None:
-        presentation = defining_equations(gamma)
-    scale, red = _point_reduction(presentation.template, point)
+    presentation, scale, red = _point_reduction(gamma, presentation, point)
     report = _membership(presentation, scale, red)
     if not report.in_variety:
         tags = ", ".join(v.equation.tag() for v in report.violations)

@@ -225,6 +225,34 @@ class TestEnumeration:
             assert got == expected
 
 
+def naive_idec(gamma):
+    """ks and right-hand exponent vectors of the three relation binomials by
+    direct search: for each axis the least k with k * v_a a sum of the other
+    two generators, the cofactor scanned by smallest last coordinate, then
+    smallest middle one."""
+    vs = gamma.generators
+    ks, rhs = [], []
+    for axis in range(3):
+        b, c = (i for i in range(3) if i != axis)
+        k = 1
+        while True:
+            target = k * vs[axis]
+            found = None
+            for last in range(target // vs[c] + 1):
+                rem = target - last * vs[c]
+                if rem % vs[b] == 0:
+                    found = (rem // vs[b], last)
+                    break
+            if found is not None:
+                break
+            k += 1
+        vec = [0, 0, 0]
+        vec[b], vec[c] = found
+        ks.append(k)
+        rhs.append(tuple(vec))
+    return tuple(ks), rhs
+
+
 class TestThreeGenIdeal:
     def test_known_4_6_13(self):
         ideal = idec_generators_3gen(from_generators([4, 6, 13]))
@@ -270,6 +298,20 @@ class TestThreeGenIdeal:
                         for b in range(target // others[1] + 1)
                     )
                     assert not representable
+
+    def test_matches_naive_scan(self):
+        """ks, sides and degrees against the direct search, on every
+        three-generator semigroup with conductor at most 40."""
+        for triple in three_gen_semigroups(40):
+            gamma = from_generators(triple)
+            ideal = idec_generators_3gen(gamma)
+            ks, rhs = naive_idec(gamma)
+            assert ideal.ks == ks, triple
+            for axis, b in enumerate(ideal.binomials):
+                lhs = tuple(ks[axis] if i == axis else 0 for i in range(3))
+                assert (b.lhs.exponents, b.rhs.exponents) == (lhs, rhs[axis]), triple
+                assert b.degree == ks[axis] * triple[axis]
+            assert idec_generators_3gen(gamma) == ideal
 
     def test_wrong_generator_count(self):
         with pytest.raises(WrongGeneratorCount):

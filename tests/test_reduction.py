@@ -8,7 +8,9 @@ import pytest
 from conftest import parse_poly, random_fraction, random_point, random_semigroup
 from rgamma import (
     ArityMismatch,
+    DomainError,
     EmptyInput,
+    InvalidIndices,
     ModulusMismatch,
     NotNormalForm,
     ReductionContext,
@@ -188,6 +190,15 @@ class TestReduceSubset:
         _, gens = numeric_generators(gamma)
         with pytest.raises(EmptyInput):
             reduce_subset(gamma, (), gens, Series.term(16, 8, 1))
+
+    def test_out_of_range_subset_rejected(self):
+        gamma = from_generators([4, 6, 13])
+        _, gens = numeric_generators(gamma)
+        for indices in ((5,), (0, 3), (-1, 1)):
+            with pytest.raises(InvalidIndices) as caught:
+                reduce_subset(gamma, indices, gens, Series.term(16, 8, 1))
+            assert isinstance(caught.value, DomainError)
+            assert isinstance(caught.value, ValueError)
 
 
 class TestContextValidation:

@@ -11,7 +11,9 @@ from conftest import (
     sieve_members,
 )
 from rgamma import (
+    DomainError,
     EmptyInput,
+    InvalidIndices,
     NonCoprimeGenerators,
     NotRepresentable,
     NumericalSemigroup,
@@ -158,7 +160,9 @@ class TestFactorization:
                 assert sum(e * v for e, v in zip(vec, gamma.generators)) == n
 
     def test_revlex_minimality_brute_force(self):
-        """At the largest differing index the chosen vector is smaller."""
+        """At the largest differing index the chosen vector is smaller, over
+        the whole generating set, the full index subset and random subsets;
+        integers without a factorization over a subset are rejected."""
         rng = random.Random(43)
         for _ in range(15):
             gamma = random_semigroup(rng, max_conductor=30)
@@ -166,6 +170,27 @@ class TestFactorization:
                 vecs = all_factorizations(gamma.generators, n)
                 expected = min(vecs, key=lambda v: tuple(reversed(v)))
                 assert gamma.revlex_min_factorization(n) == expected
+            count = len(gamma.generators)
+            subsets = [tuple(range(count))] + [
+                tuple(sorted(rng.sample(range(count), rng.randint(1, count))))
+                for _ in range(3)
+            ]
+            for subset in subsets:
+                selected = [gamma.generators[i] for i in subset]
+                reachable = []
+                for n in range(1, gamma.conductor):
+                    vecs = all_factorizations(selected, n)
+                    if not vecs:
+                        with pytest.raises(NotRepresentable):
+                            gamma.revlex_min_factorization(n, subset)
+                        continue
+                    reachable.append(n)
+                    best = min(vecs, key=lambda v: tuple(reversed(v)))
+                    expected = [0] * count
+                    for i, e in zip(subset, best):
+                        expected[i] = e
+                    assert gamma.revlex_min_factorization(n, subset) == tuple(expected)
+                assert gamma.subset_elements(subset) == tuple(reachable)
 
     def test_subset_restriction(self):
         gamma = from_generators([4, 6, 13])
@@ -187,6 +212,27 @@ class TestFactorization:
             gamma.subset_elements(())
         with pytest.raises(ValueError):
             gamma.subset_elements((0, 3))
+
+    def test_subset_validation_is_typed(self):
+        gamma = from_generators([4, 6, 13])
+        assert issubclass(InvalidIndices, DomainError)
+        assert issubclass(InvalidIndices, ValueError)
+        for indices in ((), (0, 3), (-1,)):
+            with pytest.raises(InvalidIndices):
+                gamma.subset_elements(indices)
+        with pytest.raises(InvalidIndices):
+            gamma.revlex_min_factorization(12, (3,))
+
+    def test_table_bound_and_cache(self):
+        gamma = from_generators([4, 6, 13])
+        table = gamma.factorization_table((1, 2), 40)
+        assert len(table) == 40
+        assert table[0] == (0, 0, 0)
+        assert table[4] is None
+        assert table[32] == (0, 1, 2)
+        assert table[39] == (0, 0, 3)
+        assert gamma.factorization_table((2, 1, 2), 40) is table
+        assert len(gamma.factorization_table()) == gamma.conductor
 
 
 class TestPlaneCriterion:

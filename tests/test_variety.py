@@ -12,7 +12,9 @@ from conftest import (
     random_semigroup,
 )
 from rgamma import (
+    DomainError,
     NotInVariety,
+    PresentationMismatch,
     ReductionContext,
     UnboundVariable,
     WrongGeneratorCount,
@@ -393,6 +395,25 @@ class TestPlaneStratum:
         template_point = {}
         with pytest.raises(WrongGeneratorCount):
             plane_test_3gen(gamma, template_point)
+
+    def test_presentation_of_another_semigroup_rejected(self):
+        """A <4,6,17> point checked as <4,6,13> with <4,6,17>'s presentation
+        mixed one semigroup's v_2 and relation ideal with the other's
+        reduction and read is_plane_point False, leading coefficient 0."""
+        gamma = from_generators([4, 6, 17])
+        presentation = defining_equations(gamma)
+        point = grid_point(presentation, eliminate_linear(presentation), 1, 0)
+        report = plane_test_3gen(gamma, point, presentation)
+        assert report.is_plane_point
+        assert report.leading_coefficient == Fraction(-111, 64)
+        assert issubclass(PresentationMismatch, DomainError)
+        other = from_generators([4, 6, 13])
+        with pytest.raises(PresentationMismatch):
+            plane_test_3gen(other, point, presentation)
+        with pytest.raises(PresentationMismatch):
+            membership(other, point, presentation)
+        # an equal semigroup built separately is the same semigroup
+        assert membership(from_generators([4, 6, 17]), point, presentation).in_variety
 
     def test_criterion_failure_blocks_plane_points(self):
         gamma = from_generators([4, 6, 11])
