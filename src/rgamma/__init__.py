@@ -14,6 +14,7 @@ from .errors import (
     InvalidIndices,
     ModulusMismatch,
     NonCoprimeGenerators,
+    NonPositiveGenerator,
     NotInVariety,
     NotNormalForm,
     NotRepresentable,
@@ -89,6 +90,7 @@ __all__ = [
     "MembershipReport",
     "ModulusMismatch",
     "NonCoprimeGenerators",
+    "NonPositiveGenerator",
     "NormalFormTemplate",
     "NotInVariety",
     "NotNormalForm",

@@ -358,6 +358,8 @@ def cmd_normalize(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_analyze(args) -> tuple[int, dict, list[str]]:
+    if args.shuffles < 0:
+        raise UsageError("--shuffles must be a nonnegative integer")
     gamma = parse_generators(args.generators)
     presentation = defining_equations(gamma)
     result = eliminate_linear(presentation)

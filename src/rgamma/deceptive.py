@@ -160,9 +160,26 @@ def enumerate_sdec_below_conductor(
     gamma: NumericalSemigroup,
 ) -> tuple[DeceptiveBinomial, ...]:
     """All oriented binomial pairs of equal weighted degree below the
-    conductor, sorted by (degree, lhs, rhs)."""
+    conductor, sorted by (degree, lhs, rhs).
+
+    The factorizations of each degree below c are counted first, capped at
+    2; with no degree at 2 there is no pair and no exponent vector is built.
+    The count runs on bits, one generator v_i at a time: m < c has two
+    factorizations iff, for some i, m is a sum over v_0..v_{i-1} and m - v_i
+    over v_0..v_i (cancel the common part from the last index that differs)."""
     c = gamma.conductor
     vs = gamma.generators
+    reach = 1  # bit m: m is a sum over the generators so far
+    for v in vs:
+        before, shift = reach, v
+        while shift < c:  # close under + v by doubling the shift
+            reach |= reach << shift
+            shift *= 2
+        reach &= (1 << c) - 1
+        if before & (reach << v):
+            break
+    else:
+        return ()
     # exponent vectors of weighted degree below c, one generator at a time
     vectors: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for v in vs:

@@ -14,6 +14,10 @@ class EmptyInput(DomainError):
     """A generator list or similar collection was empty."""
 
 
+class NonPositiveGenerator(DomainError, ValueError):
+    """A generator was zero or negative."""
+
+
 class NonCoprimeGenerators(DomainError):
     """Semigroup generators with gcd > 1 generate no numerical semigroup."""
 

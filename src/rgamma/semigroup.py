@@ -6,9 +6,11 @@ minimal generating set v_0 < v_1 < ... < v_g together with the conductor c
 (least element from which everything onward belongs), the gaps, and the
 positive elements below c.
 
-Membership is decided by a sieve up to v_0 * v_g, which exceeds the
-Frobenius number of any coprime generating set (Schur's bound gives
-F <= (v_0 - 1)(v_g - 1) - 1).
+Construction builds the Apery set for a = v_0, least[r] = the least element
+congruent to r mod a, by the round-robin algorithm (Boecker & Liptak,
+Algorithmica 48, 2007) in O(a) steps per generator: b is redundant when
+least[b % a] <= b already, c = max(least) - a + 1, and n < least[n % a]
+exactly when n is a gap.
 
 Factorizations come from one table per generator subset and bound,
 factorization_table, cached on the semigroup: subset membership, both
@@ -19,10 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyInput, InvalidIndices, NonCoprimeGenerators, NotRepresentable
+from .errors import (
+    EmptyInput,
+    InvalidIndices,
+    NonCoprimeGenerators,
+    NonPositiveGenerator,
+    NotRepresentable,
+)
 
 
 @dataclass(frozen=True)
@@ -76,39 +84,36 @@ class NumericalSemigroup:
         if not values:
             raise EmptyInput("at least one generator is required")
         if values[0] < 1:
-            raise ValueError(f"generators must be positive, got {values[0]}")
-        g = 0
-        for v in values:
-            g = gcd(g, v)
+            raise NonPositiveGenerator(f"generators must be positive, got {values[0]}")
+        g = gcd(*values)
         if g != 1:
             raise NonCoprimeGenerators(
                 f"generators {values} have gcd {g}; the complement would be infinite"
             )
 
-        bound = values[0] * values[-1]
-        member = bytearray(bound + 1)
-        member[0] = 1
-        for n in range(1, bound + 1):
-            for v in values:
-                if v <= n and member[n - v]:
-                    member[n] = 1
-                    break
+        # round-robin: each generator b walks every residue cycle of + b
+        # mod a once, starting from the cycle's least entry
+        a = values[0]
+        least = [0] + [inf] * (a - 1)
+        minimal = [a]
+        for b in values[1:]:
+            if least[b % a] <= b:
+                continue
+            minimal.append(b)
+            d = gcd(a, b)
+            for p in range(d):
+                n = min(least[p::d])
+                if n == inf:
+                    continue
+                for _ in range(a // d - 1):
+                    n += b
+                    r = n % a
+                    n = least[r] = min(n, least[r])
 
-        frobenius = -1
-        for n in range(bound, 0, -1):
-            if not member[n]:
-                frobenius = n
-                break
-        conductor = frobenius + 1
-
-        minimal = tuple(
-            v
-            for v in values
-            if not any(member[a] and member[v - a] for a in range(values[0], v - values[0] + 1))
-        )
-        gaps = tuple(n for n in range(1, conductor) if not member[n])
-        elements = tuple(n for n in range(1, conductor) if member[n])
-        return cls(minimal, conductor, gaps, elements)
+        conductor = max(least) - a + 1
+        gaps = tuple(n for n in range(1, conductor) if n < least[n % a])
+        elements = tuple(n for n in range(1, conductor) if n >= least[n % a])
+        return cls(tuple(minimal), conductor, gaps, elements)
 
     # -- membership and dimensions --------------------------------------
 

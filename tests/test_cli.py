@@ -58,6 +58,13 @@ class TestSemigroupCommand:
         assert code == 2
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("generators", ["0,3", "3,0", "0"])
+    def test_non_positive_is_domain_error(self, capsys, generators):
+        code, out, err = run_cli(capsys, "semigroup", generators)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestTemplateCommand:
     def test_text(self, capsys):
@@ -269,6 +276,11 @@ class TestAnalyzeCommand:
         assert determinism["seed"] == 7
         assert determinism["stable"] is True
         assert determinism["affine_dims"] == [9] * (determinism["shuffles"] + 1)
+
+    def test_negative_shuffles_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "2,3", "--shuffles", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:")
 
 
 class TestHarness:

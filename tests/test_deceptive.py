@@ -214,9 +214,13 @@ class TestEnumeration:
                 seen.add(key)
 
     def test_matches_brute_force(self):
+        """Random semigroups, then every three-generator semigroup with
+        c <= 24 (most have no pair at all) and a few two-generator ones."""
         rng = random.Random(13)
-        for _ in range(15):
-            gamma = random_semigroup(rng, max_conductor=30)
+        inputs = [random_semigroup(rng, max_conductor=30) for _ in range(15)]
+        inputs += [from_generators(t) for t in three_gen_semigroups(24)]
+        inputs += [from_generators(p) for p in ((2, 3), (3, 8), (5, 7), (7, 9))]
+        for gamma in inputs:
             expected = brute_force_pairs(gamma, gamma.conductor)
             got = {
                 (b.degree, frozenset((b.lhs.exponents, b.rhs.exponents)))

@@ -1,5 +1,6 @@
 """Numerical semigroups: construction, membership, factorizations."""
 
+import math
 import random
 
 import pytest
@@ -15,11 +16,41 @@ from rgamma import (
     EmptyInput,
     InvalidIndices,
     NonCoprimeGenerators,
+    NonPositiveGenerator,
     NotRepresentable,
     NumericalSemigroup,
     from_generators,
     is_plane_semigroup,
 )
+
+# generating sets random draws rarely give: 1, duplicates, redundant
+# generators, multiples of v_0, and generators sharing a factor with v_0
+# (some after a coprime one, so a residue cycle's least entry is not at
+# its first residue)
+EDGE_GENERATORS = (
+    (1,), (1, 7), (13, 4, 6, 4, 13), (4, 6, 13, 17, 8, 12), (5, 10, 15, 7),
+    (6, 9, 19), (12, 15, 17), (9, 12, 15, 19, 22, 25, 35), (6, 11, 15),
+    (6, 9, 10), (10, 25, 14, 35, 21),
+)
+
+
+def generator_lists(rng, count, max_multiplicity=40):
+    """EDGE_GENERATORS, then random coprime generating sets with
+    multiplicity up to max_multiplicity, each with a duplicate, a sum of
+    two generators or a multiple of v_0 mixed in, in shuffled order."""
+    lists = [list(gens) for gens in EDGE_GENERATORS]
+    while len(lists) < count:
+        a = rng.randint(2, max_multiplicity)
+        gens = [a] + [rng.randint(a + 1, 2 * a + 3) for _ in range(rng.randint(1, 4))]
+        if math.gcd(*gens) != 1:
+            continue
+        extra = rng.choice(
+            (rng.choice(gens), gens[0] + gens[-1], a * rng.randint(2, 3))
+        )
+        gens.append(extra)
+        rng.shuffle(gens)
+        lists.append(gens)
+    return lists
 
 
 class TestFromGenerators:
@@ -69,30 +100,46 @@ class TestFromGenerators:
         with pytest.raises(ValueError):
             from_generators([-2, 3])
 
+    def test_nonpositive_rejection_is_typed(self):
+        assert issubclass(NonPositiveGenerator, DomainError)
+        assert issubclass(NonPositiveGenerator, ValueError)
+        for raw in ([0, 3], [-2, 3], [0]):
+            with pytest.raises(NonPositiveGenerator):
+                from_generators(raw)
+
     def test_against_sieve_randomized(self):
+        """Conductor, gaps and elements agree with a sieve over the raw
+        input, so no generator needed for the semigroup was dropped."""
         rng = random.Random(2024)
-        for _ in range(40):
-            gamma = random_semigroup(rng, max_conductor=80)
-            conductor, gaps = naive_conductor_and_gaps(gamma.generators)
+        inputs = [
+            random_semigroup(rng, max_conductor=80).generators for _ in range(40)
+        ] + generator_lists(rng, 40)
+        for raw in inputs:
+            gamma = from_generators(raw)
+            conductor, gaps = naive_conductor_and_gaps(raw)
             assert gamma.conductor == conductor
             assert list(gamma.gaps) == gaps
+            assert gamma.elements_below_conductor == tuple(
+                n for n in range(1, conductor) if n not in gaps
+            )
+            assert set(gamma.generators) <= set(raw)
 
     def test_minimality_randomized(self):
-        """Dropping any minimal generator changes the semigroup."""
+        """No minimal generator is a sum of the others (checked by a sieve),
+        so dropping any of them changes the semigroup."""
         rng = random.Random(77)
+        inputs = [
+            random_semigroup(rng, max_conductor=200).generators for _ in range(40)
+        ] + generator_lists(rng, 40)
         seen = 0
-        for _ in range(40):
-            gamma = random_semigroup(rng, max_conductor=200)
+        for raw in inputs:
+            gamma = from_generators(raw)
             if len(gamma.generators) < 2:
                 continue
             seen += 1
-            for i in range(len(gamma.generators)):
-                rest = [v for j, v in enumerate(gamma.generators) if j != i]
-                try:
-                    smaller = from_generators(rest)
-                except NonCoprimeGenerators:
-                    continue
-                assert smaller != gamma
+            for i, v in enumerate(gamma.generators):
+                rest = gamma.generators[:i] + gamma.generators[i + 1:]
+                assert not sieve_members(rest, v + 1)[v]
         assert seen > 20
 
 
